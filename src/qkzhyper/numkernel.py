@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, PoleProximityError, ResonanceError
+from .errors import ConvergenceError, DomainError, PoleProximityError, ResonanceError
 from .kernels import qpoch_array, qpoch_ratio_array, theta_array
 
 
@@ -23,7 +23,9 @@ class TruncationPolicy:
     tail_tol: float = 1e-14
 
     def nterms(self, p, umax=1.0):
-        """Number of product terms so the relative tail is below tail_tol."""
+        """Number of product terms so the relative tail is below tail_tol.
+
+        Raises ConvergenceError when that needs more than max_terms terms."""
         ap = abs(p)
         if ap >= 1.0:
             raise DomainError(f"|p| = {ap} >= 1")
@@ -31,7 +33,12 @@ class TruncationPolicy:
             return 1
         bound = self.tail_tol * (1.0 - ap) / max(float(umax), 1.0)
         n = int(math.ceil(math.log(bound) / math.log(ap))) + 1
-        return max(1, min(n, self.max_terms))
+        if n > self.max_terms:
+            raise ConvergenceError(
+                f"|p| = {ap:.6g}, max|u| = {float(umax):.3g} needs {n} product terms "
+                f"for tail {self.tail_tol:g}; the cap is {self.max_terms}"
+            )
+        return max(1, n)
 
 
 DEFAULT_POLICY = TruncationPolicy()

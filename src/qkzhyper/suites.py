@@ -6,6 +6,8 @@ The CLI and the acceptance tests share these; tolerances are the frozen
 acceptance numbers.
 """
 
+import cmath
+import math
 import time
 from dataclasses import dataclass
 
@@ -44,17 +46,23 @@ def _res(id_, residual, tol):
 
 
 def finalize(records):
-    """Attach abs/rel errors and pass status."""
+    """Attach abs/rel errors and pass status.  A non-finite lhs, rhs or
+    residual fails with reason "non-finite"."""
     out = []
     for r in records:
         rec = dict(r)
         if "residual" in r:
             rec["abs_err"] = rec["rel_err"] = float(r["residual"])
+            finite = math.isfinite(rec["rel_err"])
         else:
+            finite = cmath.isfinite(r["lhs"]) and cmath.isfinite(r["rhs"])
             a = abs(r["lhs"] - r["rhs"])
             rec["abs_err"] = a
             rec["rel_err"] = a / max(abs(r["lhs"]), abs(r["rhs"]), 1e-300)
-        rec["status"] = "pass" if rec["rel_err"] <= r["tol"] else "fail"
+        if not finite:
+            rec["status"], rec["reason"] = "fail", "non-finite"
+        else:
+            rec["status"] = "pass" if rec["rel_err"] <= r["tol"] else "fail"
         out.append(rec)
     return out
 
@@ -849,7 +857,7 @@ def checks_on_params(name, P):
 def run_suite(name, seed=None, cfg=None, params=None):
     if name not in SUITES:
         raise KeyError(name)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if params is not None:
         recs = finalize(checks_on_params(name, params))
     else:
@@ -862,4 +870,4 @@ def run_suite(name, seed=None, cfg=None, params=None):
             r["trunc_tol"] = cfg.trunc_tol
     for r in recs:
         r.setdefault("runtime_ms", None)
-    return {"suite": name, "checks": recs, "elapsed_s": time.time() - t0}
+    return {"suite": name, "checks": recs, "elapsed_s": time.perf_counter() - t0}

@@ -16,7 +16,7 @@ from qkzhyper.numkernel import qpoch, theta
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # jit warm-up so the stated wall-time budgets measure math, not compilation
+    # warm-up so the stated wall-time budgets measure math, not first-call set-up
     qpoch(np.ones(4) * 0.3, 0.2)
     theta(np.ones(4) * 0.7, 0.2)
     from qkzhyper.numkernel import qpoch_ratio

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 
-from qkzhyper import cli
+from qkzhyper import cli, suites
 from qkzhyper.cli_params import kappa_margins_ok, quadrature_band_ok, sample_params
 from qkzhyper.numkernel import ParameterSet, assert_admissible
 
@@ -136,3 +136,18 @@ def test_table_detMq(tmp_path):
 
 def test_table_unknown_identity():
     assert cli.main(["table", "nonsense"]) == 2
+
+
+def test_finalize_fails_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    recs = suites.finalize(
+        [
+            {"id": "lhs-nan", "lhs": complex(nan, 0), "rhs": 1.0 + 0j, "tol": 1e-8},
+            {"id": "rhs-nan", "lhs": 1.0 + 0j, "rhs": complex(0, nan), "tol": 1e-8},
+            {"id": "lhs-inf", "lhs": complex(inf, 0), "rhs": 1.0 + 0j, "tol": 1e-8},
+            {"id": "residual-nan", "residual": nan, "tol": 1e-8},
+            {"id": "ok", "lhs": 1.0 + 0j, "rhs": 1.0 + 1e-12j, "tol": 1e-8},
+        ]
+    )
+    got = [(r["status"], r.get("reason")) for r in recs]
+    assert got == [("fail", "non-finite")] * 4 + [("pass", None)]
