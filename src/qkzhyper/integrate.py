@@ -46,30 +46,37 @@ def torus_integral(f, ell, spec=QuadratureSpec(), measure="dt_over_t"):
         return complex(f(np.zeros((1, 0), dtype=np.complex128))[0])
     M = spec.points_per_circle
     radii = spec.radii if spec.radii is not None else (1.0,) * ell
-    # per-axis phase stagger keeps grid ratios off the p/eta lattice and the
-    # diagonals t_a = t_b; an offset uniform grid integrates circles exactly
-    nodes = [
-        r * np.exp(TWO_PI_I * (np.arange(M) + (a + 1.0) / (ell + 2.0)) / M)
-        for a, r in enumerate(radii)
-    ]
     total = 0.0 + 0j
-    npts = M**ell
-    # walk the grid in flat chunks to bound memory
-    for start in range(0, npts, _CHUNK):
-        stop = min(start + _CHUNK, npts)
-        idx = np.arange(start, stop)
-        t = np.empty((stop - start, ell), dtype=np.complex128)
-        rem = idx
-        for a in range(ell - 1, -1, -1):
-            t[:, a] = nodes[a][rem % M]
-            rem = rem // M
+    for t in _grid_chunks((0.0,) * ell, radii, M):
         vals = np.asarray(f(t), dtype=np.complex128)
         if measure == "dt":
             vals = vals * np.prod(t, axis=-1)
         elif measure != "dt_over_t":
             raise ValueError("measure must be 'dt_over_t' or 'dt'")
         total += vals.sum()
-    return TWO_PI_I**ell * total / npts
+    return TWO_PI_I**ell * total / M**ell
+
+
+def _grid_chunks(centers, radii, M):
+    """The product grid t_a = c_a + r_a exp(2 pi i (j + (a + 1)/(ell + 2)) / M),
+    j < M, in flat row-major chunks of at most _CHUNK rows (bounded memory).
+
+    The per-axis phase stagger keeps node ratios off the p/eta lattice and the
+    diagonals t_a = t_b; an offset uniform grid integrates circles exactly."""
+    ell = len(radii)
+    nodes = [
+        c + r * np.exp(TWO_PI_I * (np.arange(M) + (a + 1.0) / (ell + 2.0)) / M)
+        for a, (c, r) in enumerate(zip(centers, radii))
+    ]
+    npts = M**ell
+    for start in range(0, npts, _CHUNK):
+        stop = min(start + _CHUNK, npts)
+        t = np.empty((stop - start, ell), dtype=np.complex128)
+        rem = np.arange(start, stop)
+        for a in range(ell - 1, -1, -1):
+            rem, j = np.divmod(rem, M)
+            t[:, a] = nodes[a][j]
+        yield t
 
 
 def auto_radius(params):
@@ -123,20 +130,8 @@ def hyper_I_many(Ws, ws, params, spec=QuadratureSpec(), policy=DEFAULT_POLICY):
         spec = QuadratureSpec(spec.points_per_circle, (auto_radius(params),) * ell, spec.guard)
     validate_torus(params, spec.radii[0], spec.guard)
     M = spec.points_per_circle
-    nodes = [
-        r * np.exp(TWO_PI_I * (np.arange(M) + (a + 1.0) / (ell + 2.0)) / M)
-        for a, r in enumerate(spec.radii)
-    ]
-    npts = M**ell
     out = np.zeros((len(Ws), len(ws)), dtype=np.complex128)
-    for start in range(0, npts, _CHUNK):
-        stop = min(start + _CHUNK, npts)
-        idx = np.arange(start, stop)
-        t = np.empty((stop - start, ell), dtype=np.complex128)
-        rem = idx
-        for a in range(ell - 1, -1, -1):
-            t[:, a] = nodes[a][rem % M]
-            rem = rem // M
+    for t in _grid_chunks((0.0,) * ell, spec.radii, M):
         phi = phase_phi(t, params, policy)
         Wv = [np.asarray(W(t), dtype=np.complex128) for W in Ws]
         wv = [np.asarray(w(t), dtype=np.complex128) for w in ws]
@@ -144,7 +139,7 @@ def hyper_I_many(Ws, ws, params, spec=QuadratureSpec(), policy=DEFAULT_POLICY):
             base = phi * Wvi
             for j, wvj in enumerate(wv):
                 out[i, j] += (base * wvj).sum()
-    return TWO_PI_I**ell * out / npts
+    return TWO_PI_I**ell * out / M**ell
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +220,61 @@ def multi_residue(f, center, params=None, plan=None, shrink=0.05):
         if params is None:
             raise ValueError("need params or an explicit plan")
         plan = ResiduePlan(tuple(center), _residue_radii(center, params, shrink))
-    Mr = plan.points
-    # stagger the phase grids so node ratios never sit exactly on the
-    # p/eta lattice of the integrand (offset trapezoid stays exact)
-    circles = [
-        center[k] + plan.radii[k] * np.exp(TWO_PI_I * (np.arange(Mr) + (k + 1.0) / (ell + 2.0)) / Mr)
-        for k in range(ell)
-    ]
-    grids = np.meshgrid(*circles, indexing="ij")
-    t = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    vals = np.asarray(f(t), dtype=np.complex128)
-    for k in range(ell):
-        vals = vals * (t[:, k] - center[k])
-    return complex(vals.sum() / Mr**ell)
+    total = 0.0 + 0j
+    for t in _grid_chunks(center, plan.radii, plan.points):
+        vals = np.asarray(f(t), dtype=np.complex128)
+        for k in range(ell):
+            vals = vals * (t[:, k] - center[k])
+        total += vals.sum()
+    return complex(total / plan.points**ell)
+
+
+def _residue_at(f, pt, params, points):
+    """Nested residue of f at pt on circles of `points` nodes sized by
+    _residue_radii."""
+    return multi_residue(f, pt, plan=ResiduePlan(tuple(pt), _residue_radii(pt, params), points))
+
+
+def _special_residue_sum(f, params, side, points):
+    """Sum of the nested residues of f at every special point x<m (side "x")
+    or y>m (side "y", with the (-1)^ell sign)."""
+    total = 0.0 + 0j
+    for mvec in combin.index_vectors(params.n, params.ell):
+        total += _residue_at(f, weightfn.special_point(mvec, params, side), params, points)
+    if side == "y":
+        total *= (-1.0) ** params.ell
+    return total
 
 
 # ---------------------------------------------------------------------------
-# Jackson sums
+# lattice sums and Jackson sums
+
+
+def _shell_sum(shell_terms, cutoff, tol):
+    """Sum a lattice series shell by shell; shell_terms(s) yields the terms of
+    shell s.
+
+    Stops once two consecutive shells are below tol * |total|, from shell 3
+    on.  The tail past the last shell is estimated as geometric with the
+    ratio of the last two shells.  Returns (total, {"shells", "last_shell",
+    "tail_estimate", "ratio"}).
+    """
+    total = 0.0 + 0j
+    sizes = []
+    for shell in range(cutoff + 1):
+        acc = 0.0 + 0j
+        for term in shell_terms(shell):
+            acc += term
+        total += acc
+        sizes.append(abs(acc))
+        bound = tol * max(abs(total), 1e-300)
+        if shell >= 3 and sizes[-1] < bound and sizes[-2] < bound:
+            break
+    last = sizes[-1]
+    prev = sizes[-2] if len(sizes) > 1 else last
+    ratio = last / prev if prev > 0 else 0.0
+    tail = last * ratio / (1 - ratio) if 0 < ratio < 1 else last
+    return total, {"shells": len(sizes), "last_shell": last, "tail_estimate": tail, "ratio": ratio}
 
 
 def _phase_tilde(params, policy):
@@ -269,8 +302,8 @@ def jackson_sum(
     """Jackson (multilattice residue) representation of I(W, w).
 
     side="x": (2 pi i)^ell ell! sum over m, s >= 0 of Res at x<(m, s);
-    side="y": (-2 pi i)^ell ell! sum at y>(m, -s).  Shells are |s|_1; the
-    loop stops when the geometric tail estimate drops below tol.
+    side="y": (-2 pi i)^ell ell! sum at y>(m, -s).  Shells are |s|_1, summed
+    by _shell_sum; the tail estimate is scaled to the returned value.
     """
     ell, n = params.ell, params.n
     if enforce_regime:
@@ -293,35 +326,17 @@ def jackson_sum(
 
     kind = "x" if side == "x" else "y"
     sign = 1.0 if side == "x" else (-1.0) ** ell
-    total = 0.0 + 0j
-    shells = []
-    for shell in range(cutoff + 1):
-        acc = 0.0 + 0j
+
+    def shell_terms(shell):
         for mvec in combin.index_vectors(n, ell):
             for svec in _shell_vectors(ell, shell):
                 sh = svec if side == "x" else tuple(-v for v in svec)
                 pt = weightfn.special_point(mvec, params, kind, sh)
-                plan = ResiduePlan(tuple(pt), _residue_radii(pt, params), points)
-                acc += multi_residue(integrand, pt, plan=plan)
-        shells.append(acc)
-        total += acc
-        if shell >= 2:
-            a1, a0 = abs(shells[-1]), abs(shells[-2])
-            scale = max(abs(total), 1e-300)
-            if a1 < tol * scale and a0 < tol * scale:
-                break
-    value = sign * TWO_PI_I**ell * factorial(ell) * total
-    last = abs(shells[-1])
-    prev = abs(shells[-2]) if len(shells) > 1 else last
-    ratio = last / prev if prev > 0 else 0.0
-    tail = last * ratio / (1 - ratio) if 0 < ratio < 1 else last
-    report = {
-        "shells": len(shells),
-        "last_shell": last,
-        "tail_estimate": abs(TWO_PI_I**ell * factorial(ell)) * tail,
-        "ratio": ratio,
-    }
-    return value, report
+                yield _residue_at(integrand, pt, params, points)
+
+    total, report = _shell_sum(shell_terms, cutoff, tol)
+    report["tail_estimate"] *= abs(TWO_PI_I**ell * factorial(ell))
+    return sign * TWO_PI_I**ell * factorial(ell) * total, report
 
 
 def _shell_vectors(ell, total):
@@ -650,26 +665,15 @@ def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40, tol=1e-13, policy=DEFAULT_
                     out *= _qpoch_ratio_plattice(1 - m + delta, 1 + m + delta, p)
         return out
 
-    total = 0.0 + 0j
-    shells = []
-    for shell in range(cutoff + 1):
-        acc = 0.0 + 0j
+    def shell_terms(shell):
         for rs in _signed_shell(ell, shell):
-            sgn = 1.0
-            for r in rs:
-                if r < 0:
-                    sgn = -sgn
             us = [v(r) for r in rs]
-            term = sgn * A(us)
+            term = (-1.0) ** sum(r < 0 for r in rs) * A(us)
             for k in range(ell):
                 term *= us[k] ** (2 * m * (ell - 1 - k))
-            acc += term
-        shells.append(acc)
-        total += acc
-        if shell >= 3 and abs(acc) < tol * max(abs(total), 1e-300) and abs(shells[-2]) < tol * max(
-            abs(total), 1e-300
-        ):
-            break
+            yield term
+
+    total, report = _shell_sum(shell_terms, cutoff, tol)
     rhs = p ** (m * m * comb(ell, 3) - comb(m, 2) * comb(ell, 2))
     for s in range(ell):
         rhs *= qp(p ** (m + 1)) * qp(p ** (m * (ell + s - 1)) * a * b * alpha * beta)
@@ -681,7 +685,7 @@ def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40, tol=1e-13, policy=DEFAULT_
             * qp(p ** (m * s) * b * alpha)
             * qp(p ** (m * s) * b * beta)
         )
-    return total, rhs, {"shells": len(shells), "last_shell": abs(shells[-1])}
+    return total, rhs, report
 
 
 def _signed_shell(ell, total):
@@ -716,10 +720,7 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell, cutoff=40, tol=1e-13, policy=
                 out *= (1 - r) * qp(p * r / x) / qp(x * r)
         return out
 
-    total = 0.0 + 0j
-    shells = []
-    for shell in range(cutoff + 1):
-        acc = 0.0 + 0j
+    def shell_terms(shell):
         for j in range(ell + 1):
             for rs in _shell_vectors(ell, shell):
                 us = []
@@ -737,13 +738,9 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell, cutoff=40, tol=1e-13, policy=
                 term = (-1.0) ** j * x**expo
                 for s in range(ell - j):
                     term *= th(x ** (j + s) * a / b) / th(x ** (j - s) * a / b)
-                acc += term * Atil(us)
-        shells.append(acc)
-        total += acc
-        if shell >= 3 and abs(acc) < tol * max(abs(total), 1e-300) and abs(shells[-2]) < tol * max(
-            abs(total), 1e-300
-        ):
-            break
+                yield term * Atil(us)
+
+    total, report = _shell_sum(shell_terms, cutoff, tol)
     rhs = 1.0 + 0j
     for s in range(ell):
         rhs *= qp(x) * qp(x ** (ell + s - 1) * a * b * alpha * beta) * b * th(x**s * a / b)
@@ -754,7 +751,7 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell, cutoff=40, tol=1e-13, policy=
             * qp(x**s * b * alpha)
             * qp(x**s * b * beta)
         )
-    return total, rhs, {"shells": len(shells), "last_shell": abs(shells[-1])}
+    return total, rhs, report
 
 
 def qselberg_jackson(alpha, u, x, p, ell, cutoff=80, tol=1e-13, policy=DEFAULT_POLICY):
@@ -773,10 +770,7 @@ def qselberg_jackson(alpha, u, x, p, ell, cutoff=80, tol=1e-13, policy=DEFAULT_P
                 out *= (1 - r) * qp(p * r / x) / qp(x * r)
         return out
 
-    total = 0.0 + 0j
-    shells = []
-    for shell in range(cutoff + 1):
-        acc = 0.0 + 0j
+    def shell_terms(shell):
         for rs in _shell_vectors(ell, shell):
             ts = []
             cum = 0
@@ -785,18 +779,14 @@ def qselberg_jackson(alpha, u, x, p, ell, cutoff=80, tol=1e-13, policy=DEFAULT_P
                 ts.append(p**cum * x**i)
             expo_u = sum((ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
             expo_x = -sum((i - 1) * (ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
-            acc += u**expo_u * x**expo_x * S(ts)
-        shells.append(acc)
-        total += acc
-        if shell >= 3 and abs(acc) < tol * max(abs(total), 1e-300) and abs(shells[-2]) < tol * max(
-            abs(total), 1e-300
-        ):
-            break
+            yield u**expo_u * x**expo_x * S(ts)
+
+    total, report = _shell_sum(shell_terms, cutoff, tol)
     rhs = 1.0 + 0j
     for s in range(ell):
         rhs *= qp(x) * qp(x**s * alpha * u) * qp(p)
         rhs /= qp(x ** (s + 1)) * qp(x**s * alpha) * qp(x**-s * u)
-    return total, rhs, {"shells": len(shells), "last_shell": abs(shells[-1])}
+    return total, rhs, report
 
 
 def qselberg_X_ratio(k, a, b, c, x, p, ell, spec=QuadratureSpec(), policy=DEFAULT_POLICY):
@@ -883,24 +873,11 @@ def shapovalov(flavor, f1, f2, params, side="x", points=64, policy=DEFAULT_POLIC
             * np.asarray(f2(t), dtype=np.complex128)
         )
 
-    total = 0.0 + 0j
-    for mvec in combin.index_vectors(params.n, params.ell):
-        pt = weightfn.special_point(mvec, params, "x" if side == "x" else "y")
-        plan = ResiduePlan(tuple(pt), _residue_radii(pt, params), points)
-        total += multi_residue(integrand, pt, plan=plan)
-    if side == "y":
-        total *= (-1.0) ** params.ell
-    return total
+    return _special_residue_sum(integrand, params, side, points)
 
 
 def residue_balance_check(f, params, points=64):
     """x-side residue sum, y-side residue sum, and their signed difference."""
-    xs = 0.0 + 0j
-    ys = 0.0 + 0j
-    for mvec in combin.index_vectors(params.n, params.ell):
-        ptx = weightfn.special_point(mvec, params, "x")
-        pty = weightfn.special_point(mvec, params, "y")
-        xs += multi_residue(f, ptx, plan=ResiduePlan(tuple(ptx), _residue_radii(ptx, params), points))
-        ys += multi_residue(f, pty, plan=ResiduePlan(tuple(pty), _residue_radii(pty, params), points))
-    ys *= (-1.0) ** params.ell
+    xs = _special_residue_sum(f, params, "x", points)
+    ys = _special_residue_sum(f, params, "y", points)
     return {"x_sum": xs, "y_sum_signed": ys, "difference": xs - ys}

@@ -7,6 +7,7 @@ acceptance numbers.
 """
 
 import cmath
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -16,6 +17,8 @@ import numpy as np
 from . import combin, integrate, repthy, solutions, weightfn
 from .cli_params import sample_params
 from .numkernel import (
+    ParameterSet,
+    assert_admissible,
     phase_phi,
     p_gamma_sin,
     p_power_bracket,
@@ -28,9 +31,7 @@ from .numkernel import (
 @dataclass(frozen=True)
 class RunConfig:
     grid: int = None
-    trunc_tol: float = None
     cutoff: int = 60
-    tol: float = None
 
 
 def _grid(cfg, default):
@@ -43,6 +44,12 @@ def _val(id_, lhs, rhs, tol):
 
 def _res(id_, residual, tol):
     return {"id": id_, "residual": float(residual), "tol": float(tol)}
+
+
+def _binomial_identity(id_):
+    """Exact check of combin's binomial identity over j, k, l, m < 7."""
+    pairs = (combin.counts("binom_identity", *v) for v in itertools.product(range(7), repeat=4))
+    return _res(id_, 0.0 if all(lhs == rhs for lhs, rhs in pairs) else 1.0, 0.5)
 
 
 def finalize(records):
@@ -204,16 +211,7 @@ def suite_weights(seed=2, cfg=None):
     out.append(
         _res("star-associativity", abs(lhs_f(t3) - rhs_f(t3)) / abs(lhs_f(t3)), 1e-11)
     )
-    # combi identity, exact
-    ok = all(
-        combin.counts("binom_identity", j, k, l, m)[0]
-        == combin.counts("binom_identity", j, k, l, m)[1]
-        for j in range(7)
-        for k in range(7)
-        for l in range(7)
-        for m in range(7)
-    )
-    out.append(_res("binomial-identity-exact", 0.0 if ok else 1.0, 0.5))
+    out.append(_binomial_identity("binomial-identity-exact"))
     # basis determinants
     for n, ell in ((2, 1), (2, 2), (3, 1)):
         Pd = sample_params(seed + 10 * n + ell, n, ell)
@@ -569,8 +567,6 @@ def elliptic_R_checks(seed):
     out.append(_res("ell-R-dynamical-ybe", res, 1e-9))
     out.append(_res("ell-R-intertwining", intertwining_residual(L1, L2, x, lam, p, eta), 1e-8))
     # weight-1 block against the closed-form infinite-product limit
-    import cmath
-
     q = cmath.exp(0.5 * cmath.log(eta))
     xi1, xi2 = cmath.exp(L1 * cmath.log(eta)), cmath.exp(L2 * cmath.log(eta))
     kappa = (0.8 + 0.3 * rng.random()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
@@ -638,8 +634,6 @@ def suite_asymptotics(seed=9, cfg=None):
         (0.34 + 0.1 * rng.random()) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(2)
     )
     kap = 0.18 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-
-    from .numkernel import ParameterSet
 
     def params_at_ratio(r):
         z = (r * np.exp(0.4j), np.exp(2.0j))
@@ -710,22 +704,11 @@ def suite_identities(seed=10, cfg=None):
     eta_x = draw(0.6)
     t3 = np.exp(1j * rng.uniform(0, 2 * np.pi, 3)) * rng.uniform(0.8, 1.2, 3)
     out.append(_res("symmetrization-identities", _symmetrization_residual(t3, eta_x), 1e-12))
-    # combi identity
-    ok = all(
-        combin.counts("binom_identity", j, k, l, m)[0]
-        == combin.counts("binom_identity", j, k, l, m)[1]
-        for j in range(7)
-        for k in range(7)
-        for l in range(7)
-        for m in range(7)
-    )
-    out.append(_res("binomial-identity", 0.0 if ok else 1.0, 0.5))
+    out.append(_binomial_identity("binomial-identity"))
     return out
 
 
 def _symmetrization_residual(t, x):
-    import itertools
-
     ell = len(t)
     worst = 0.0
     for k in range(1, ell):
@@ -772,8 +755,6 @@ SUITES = {
 def checks_on_params(name, P):
     """Focused checks run on an explicit parameter set (audited first, so a
     resonant file fails structurally)."""
-    from .numkernel import assert_admissible
-
     assert_admissible(P, delta=1e-3)
     out = []
     if name == "kernel":
@@ -865,9 +846,4 @@ def run_suite(name, seed=None, cfg=None, params=None):
         if seed is not None:
             kwargs["seed"] = seed
         recs = finalize(SUITES[name](cfg=cfg, **kwargs))
-    if cfg is not None and cfg.trunc_tol:
-        for r in recs:
-            r["trunc_tol"] = cfg.trunc_tol
-    for r in recs:
-        r.setdefault("runtime_ms", None)
     return {"suite": name, "checks": recs, "elapsed_s": time.perf_counter() - t0}

@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qkzhyper import cli, suites
 from qkzhyper.cli_params import kappa_margins_ok, quadrature_band_ok, sample_params
@@ -89,6 +90,28 @@ def test_table_qbeta(tmp_path):
     assert doc["identity"] == "qbeta"
     assert len(doc["rows"]) == 4  # two seeds x ell in {1, 2}
     assert all(r["rel_err"] <= 1e-8 for r in doc["rows"])
+
+
+def test_table_seed_zero(tmp_path):
+    rp = tmp_path / "t.json"
+    assert cli.main(["table", "detM", "--seed", "0", "--rows", "1", "--report", str(rp)]) == 0
+    assert [r["seed"] for r in json.loads(rp.read_text())["rows"]] == [0]
+
+
+def test_sample_seed_zero(tmp_path):
+    rp = tmp_path / "params.json"
+    assert cli.main(["sample", "--seed", "0", "--report", str(rp)]) == 0
+    doc = json.loads(rp.read_text())
+    doc.pop("margins")
+    assert doc == cli.params_to_dict(sample_params(0, 2, 1))
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--trunc-tol"])
+def test_verify_removed_flags_rejected(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "kernel", flag, "1e-9"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_sample_subcommand(tmp_path):

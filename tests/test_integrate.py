@@ -84,6 +84,28 @@ def test_multi_residue_vs_geometric_series():
     assert abs(r - (-1.0)) < 1e-12
 
 
+def test_multi_residue_chunked_l3():
+    # 64^3 nodes exceed one grid chunk, so the residue walks several chunks
+    c = (1.0, 2.0 + 0.5j, -1.5j)
+    f = lambda t: 1.0 / ((t[..., 0] - c[0]) * (t[..., 1] - c[1]) * (t[..., 2] - c[2]))
+    assert 64**3 > ig._CHUNK
+    r = ig.multi_residue(f, c, plan=ig.ResiduePlan(c, (0.1, 0.1, 0.1), 64))
+    assert abs(r - 1.0) < 1e-12
+
+
+def test_shell_sum_geometric():
+    # shell s holds the single term r^s: the total is 1/(1 - r) and the
+    # geometric tail estimate is the exact remainder r^N / (1 - r)
+    r = 0.6
+    total, rep = ig._shell_sum(lambda s: [r**s], cutoff=200, tol=1e-12)
+    N = rep["shells"]
+    assert N < 201
+    assert abs(total - 1 / (1 - r)) < 1e-11
+    assert rep["last_shell"] == r ** (N - 1)
+    assert abs(rep["ratio"] - r) < 1e-12
+    assert abs(rep["tail_estimate"] - r**N / (1 - r)) < 1e-10 * r**N
+
+
 def test_jackson_vs_torus():
     for n, ell in ((2, 1), (2, 2)):
         P = sample_params(5 * n + ell, n, ell, regime="jackson_overlap")
@@ -136,10 +158,13 @@ def test_ascj_sums():
     a, b, al, be = draw(0.3), draw(0.35), draw(0.28), draw(0.31)
     s, r, rep = ig.ascj_sum(a, b, al, be, 0.25, 1, 1)
     assert abs(s - r) / abs(r) < 1e-10
+    assert rep["tail_estimate"] < 1e-9 * abs(r)
     s, r, rep = ig.ascj_sum(a, b, al, be, 0.25, 1, 2)
     assert abs(s - r) / abs(r) < 1e-8
+    assert rep["tail_estimate"] < 1e-9 * abs(r)
     s, r, rep = ig.ascj_general_sum(a, b, al, be, draw(0.45), 0.25, 2)
     assert abs(s - r) / abs(r) < 1e-8
+    assert rep["tail_estimate"] < 1e-9 * abs(r)
     with pytest.raises(ValueError):
         ig.ascj_sum(a, b, al, be, 0.25, 0, 1)
 
@@ -147,8 +172,10 @@ def test_ascj_sums():
 def test_qselberg_jackson():
     s, r, rep = ig.qselberg_jackson(draw(0.4), draw(0.2), 0.55, 0.3, 1)
     assert abs(s - r) / abs(r) < 1e-10
+    assert rep["tail_estimate"] < 1e-9 * abs(r)
     s, r, rep = ig.qselberg_jackson(draw(0.4), draw(0.2), 0.55, 0.3, 2)
     assert abs(s - r) / abs(r) < 1e-8
+    assert rep["tail_estimate"] < 1e-9 * abs(r)
     with pytest.raises(ConvergenceError):
         ig.qselberg_jackson(0.4, 0.9, 0.55, 0.3, 2)
 
