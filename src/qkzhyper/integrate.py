@@ -8,6 +8,8 @@ annulus); residues are iterated small-circle contour integrals.
 """
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from math import comb, factorial
@@ -16,6 +18,7 @@ import numpy as np
 
 from . import combin, weightfn
 from .errors import ConvergenceError, DegeneracyError, PoleProximityError
+from .grid import ProductGrid, as_points
 from .numkernel import DEFAULT_POLICY, phase_phi, qpoch, theta, theta_ratio
 
 TWO_PI_I = 2j * math.pi
@@ -42,6 +45,8 @@ def torus_integral(f, ell, spec=QuadratureSpec(), measure="dt_over_t"):
     measure="dt_over_t" gives int f (dt/t)^ell = (2 pi i)^ell * mean f;
     measure="dt" gives int f d^ell t = (2 pi i)^ell * mean (f * prod t_a).
     """
+    if measure not in ("dt_over_t", "dt"):
+        raise ValueError("measure must be 'dt_over_t' or 'dt'")
     if ell == 0:
         return complex(f(np.zeros((1, 0), dtype=np.complex128))[0])
     M = spec.points_per_circle
@@ -50,33 +55,39 @@ def torus_integral(f, ell, spec=QuadratureSpec(), measure="dt_over_t"):
     for t in _grid_chunks((0.0,) * ell, radii, M):
         vals = np.asarray(f(t), dtype=np.complex128)
         if measure == "dt":
-            vals = vals * np.prod(t, axis=-1)
-        elif measure != "dt_over_t":
-            raise ValueError("measure must be 'dt_over_t' or 'dt'")
-        total += vals.sum()
+            for a in range(ell):
+                vals = vals * t[..., a]
+        total += np.broadcast_to(vals, t.shape[:-1]).sum()
     return TWO_PI_I**ell * total / M**ell
 
 
 def _grid_chunks(centers, radii, M):
     """The product grid t_a = c_a + r_a exp(2 pi i (j + (a + 1)/(ell + 2)) / M),
-    j < M, in flat row-major chunks of at most _CHUNK rows (bounded memory).
+    j < M, as ProductGrid chunks of at most _CHUNK nodes (bounded memory) in
+    row-major node order.
+
+    A chunk is a slab along axis 0 with the other axes whole; when one row of
+    axis 0 alone exceeds _CHUNK, the leading axes are fixed one node at a time
+    and the slabs are cut along the first axis whose remaining rows fit.
 
     The per-axis phase stagger keeps node ratios off the p/eta lattice and the
-    diagonals t_a = t_b; an offset uniform grid integrates circles exactly."""
+    diagonals t_a = t_b; an offset uniform grid integrates circles exactly.
+    Integrands may return values of any shape that broadcasts to the grid, so
+    callers sum np.broadcast_to(vals, t.shape[:-1])."""
     ell = len(radii)
     nodes = [
         c + r * np.exp(TWO_PI_I * (np.arange(M) + (a + 1.0) / (ell + 2.0)) / M)
         for a, (c, r) in enumerate(zip(centers, radii))
     ]
-    npts = M**ell
-    for start in range(0, npts, _CHUNK):
-        stop = min(start + _CHUNK, npts)
-        t = np.empty((stop - start, ell), dtype=np.complex128)
-        rem = np.arange(start, stop)
-        for a in range(ell - 1, -1, -1):
-            rem, j = np.divmod(rem, M)
-            t[:, a] = nodes[a][j]
-        yield t
+    whole = ell - 1
+    while M**whole > _CHUNK:
+        whole -= 1
+    cut = ell - 1 - whole
+    step = _CHUNK // M**whole
+    for fixed in itertools.product(range(M), repeat=cut):
+        head = [nodes[a][j : j + 1] for a, j in enumerate(fixed)]
+        for start in range(0, M, step):
+            yield ProductGrid(head + [nodes[cut][start : start + step]] + nodes[cut + 1 :])
 
 
 def auto_radius(params):
@@ -138,7 +149,7 @@ def hyper_I_many(Ws, ws, params, spec=QuadratureSpec(), policy=DEFAULT_POLICY):
         for i, Wvi in enumerate(Wv):
             base = phi * Wvi
             for j, wvj in enumerate(wv):
-                out[i, j] += (base * wvj).sum()
+                out[i, j] += np.broadcast_to(base * wvj, t.shape[:-1]).sum()
     return TWO_PI_I**ell * out / M**ell
 
 
@@ -146,47 +157,54 @@ def hyper_I_many(Ws, ws, params, spec=QuadratureSpec(), policy=DEFAULT_POLICY):
 # nested residues
 
 
-def _residue_radii(center, params, shrink=0.05, smax=24):
-    """Per-coordinate circle radii for the nested residue at `center`.
+@functools.lru_cache(maxsize=32)
+def _pole_catalog(params, smax):
+    """(fixed, pair) pole data of `params`, built once per (params, smax).
 
-    Base radius is shrink times the distance to the nearest other
-    singularity (fixed catalog poles, eta-shifted partners, origin).  When a
-    pair divisor t_k = p^s eta^e t_j passes through the center, the inner
-    circle (larger k; extracted earlier per the nested convention) is forced
-    well below the divisor's displacement under the outer circle, so the
-    extraction keeps picking the constant divisor only.
-    """
-    ell = len(center)
+    fixed: the origin and the families p^s xi_m z_m, p^-s z_m / xi_m
+    (0 <= s < smax); pair: the multipliers p^s eta, p^s / eta, p^s
+    (|s| <= smax) that place a pair pole at multiplier * c_b.  Both arrays
+    are read-only, since the cache hands them to every caller."""
     p, eta = params.p, params.eta
     fixed = [0.0]
     for m in range(params.n):
         for s in range(smax):
-            fixed.append(params.p**s * params.xi[m] * params.z[m])
-            fixed.append(params.p ** (-s) * params.z[m] / params.xi[m])
+            fixed.append(p**s * params.xi[m] * params.z[m])
+            fixed.append(p ** (-s) * params.z[m] / params.xi[m])
+    pair = [v for s in range(-smax, smax + 1) for v in (p**s * eta, p**s / eta, p**s)]
+    out = (np.array(fixed, dtype=np.complex128), np.array(pair, dtype=np.complex128))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _residue_radii(center, params, shrink=0.05, smax=24):
+    """Per-coordinate circle radii for the nested residue at `center`.
+
+    Base radius is shrink times the distance to the nearest other
+    singularity (fixed catalog poles, eta-shifted partners, origin); poles
+    within 1e-9 |c_k| of c_k are the point's own, and more than 6 of them
+    is a degeneracy.  When a pair divisor t_k = p^s eta^e t_j passes through
+    the center, the inner circle (larger k; extracted earlier per the nested
+    convention) is forced well below the divisor's displacement under the
+    outer circle, so the extraction keeps picking the constant divisor only.
+    """
+    ell = len(center)
+    c = np.asarray(center, dtype=np.complex128)
+    fixed, pair = _pole_catalog(params, smax)
+    partners = np.multiply.outer(pair, c)
     radii = []
     for k in range(ell):
-        ck = center[k]
-        cands = list(fixed)
-        for b in range(ell):
-            if b == k:
-                continue
-            for s in range(-smax, smax + 1):
-                cands.append(p**s * eta * center[b])
-                cands.append(p**s / eta * center[b])
-                cands.append(p**s * center[b])
-        dmin = math.inf
-        own = 0
-        for c in cands:
-            d = abs(ck - c)
-            if d < 1e-9 * abs(ck):
-                own += 1
-                continue
-            dmin = min(dmin, d)
-        if own > 6 or not math.isfinite(dmin):
+        ck = c[k]
+        cands = np.concatenate((fixed, partners[:, np.arange(ell) != k].ravel()))
+        d = np.abs(ck - cands)
+        own = d < 1e-9 * abs(ck)
+        dmin = float(d[~own].min(initial=math.inf))
+        if np.count_nonzero(own) > 6 or not math.isfinite(dmin):
             raise DegeneracyError("multiple singularity intersection at residue point")
         rk = shrink * dmin
         for j in range(k):
-            if _divisor_through_center(center[k], center[j], p, eta, smax):
+            if _divisor_through_center(center[k], center[j], params.p, params.eta, smax):
                 rk = min(rk, 0.2 * abs(center[k] / center[j]) * radii[j])
         radii.append(rk)
     return tuple(radii)
@@ -224,8 +242,8 @@ def multi_residue(f, center, params=None, plan=None, shrink=0.05):
     for t in _grid_chunks(center, plan.radii, plan.points):
         vals = np.asarray(f(t), dtype=np.complex128)
         for k in range(ell):
-            vals = vals * (t[:, k] - center[k])
-        total += vals.sum()
+            vals = vals * (t[..., k] - center[k])
+        total += np.broadcast_to(vals, t.shape[:-1]).sum()
     return complex(total / plan.points**ell)
 
 
@@ -279,7 +297,7 @@ def _shell_sum(shell_terms, cutoff, tol):
 
 def _phase_tilde(params, policy):
     def f(t):
-        t = np.asarray(t, dtype=np.complex128)
+        t = as_points(t)
         out = phase_phi(t, params, policy)
         for a in range(t.shape[-1]):
             out = out / t[..., a]
@@ -306,6 +324,8 @@ def jackson_sum(
     by _shell_sum; the tail estimate is scaled to the returned value.
     """
     ell, n = params.ell, params.n
+    if side not in ("x", "y"):
+        raise ValueError("side must be 'x' or 'y'")
     if enforce_regime:
         ratio = abs(params.p * params.kappa / params.xi_prod)
         lim = min(1.0, abs(params.eta) ** (1 - ell))
@@ -319,19 +339,17 @@ def jackson_sum(
     phit = _phase_tilde(params, policy)
 
     def integrand(t):
-        t = np.asarray(t, dtype=np.complex128)
         return phit(t) * np.asarray(wf(t), dtype=np.complex128) * np.asarray(
             Wf(t), dtype=np.complex128
         )
 
-    kind = "x" if side == "x" else "y"
     sign = 1.0 if side == "x" else (-1.0) ** ell
 
     def shell_terms(shell):
         for mvec in combin.index_vectors(n, ell):
             for svec in _shell_vectors(ell, shell):
                 sh = svec if side == "x" else tuple(-v for v in svec)
-                pt = weightfn.special_point(mvec, params, kind, sh)
+                pt = weightfn.special_point(mvec, params, side, sh)
                 yield _residue_at(integrand, pt, params, points)
 
     total, report = _shell_sum(shell_terms, cutoff, tol)
@@ -488,7 +506,7 @@ def qbeta_rhs(a, b, c, x, p, ell, policy=DEFAULT_POLICY):
 
 def qbeta_integrand(a, b, c, x, p, ell, policy=DEFAULT_POLICY):
     def f(t):
-        t = np.asarray(t, dtype=np.complex128)
+        t = as_points(t)
         out = np.ones(t.shape[:-1], dtype=np.complex128)
         for k in range(ell):
             tk = t[..., k]
@@ -518,7 +536,7 @@ def askey_roy_rhs(a, b, c, alpha, beta, p, policy=DEFAULT_POLICY):
 
 def askey_roy_integrand(a, b, c, alpha, beta, p, policy=DEFAULT_POLICY):
     def f(t):
-        t = np.asarray(t, dtype=np.complex128)[..., 0]
+        t = as_points(t)[..., 0]
         num = theta(p * t / c, p, policy) * theta(a * b * c * t, p, policy)
         den = (
             qpoch(a * t, p, policy)
@@ -551,7 +569,7 @@ def arl_rhs(a, b, c, alpha, beta, x, p, ell, policy=DEFAULT_POLICY):
 
 def arl_integrand(a, b, c, alpha, beta, x, p, ell, policy=DEFAULT_POLICY):
     def f(t):
-        t = np.asarray(t, dtype=np.complex128)
+        t = as_points(t)
         out = np.ones(t.shape[:-1], dtype=np.complex128)
         for k in range(ell):
             tk = t[..., k]
@@ -796,7 +814,7 @@ def qselberg_X_ratio(k, a, b, c, x, p, ell, spec=QuadratureSpec(), policy=DEFAUL
 
     def mono(j):
         def f(t):
-            t = np.asarray(t, dtype=np.complex128)
+            t = as_points(t)
             out = np.asarray(base(t), dtype=np.complex128).copy()
             for i in range(j):
                 out *= t[..., i]
@@ -823,7 +841,7 @@ def omega_elliptic(params, policy=DEFAULT_POLICY):
     p, eta = params.p, params.eta
 
     def f(t):
-        t = np.asarray(t, dtype=np.complex128)
+        t = as_points(t)
         ell = t.shape[-1]
         out = np.ones(t.shape[:-1], dtype=np.complex128)
         for a in range(ell):
@@ -844,7 +862,7 @@ def omega_trig(params):
     eta = params.eta
 
     def f(t):
-        t = np.asarray(t, dtype=np.complex128)
+        t = as_points(t)
         ell = t.shape[-1]
         out = np.ones(t.shape[:-1], dtype=np.complex128)
         for a in range(ell):
@@ -866,7 +884,6 @@ def shapovalov(flavor, f1, f2, params, side="x", points=64, policy=DEFAULT_POLIC
     om = omega_elliptic(params, policy) if flavor == "elliptic" else omega_trig(params)
 
     def integrand(t):
-        t = np.asarray(t, dtype=np.complex128)
         return (
             om(t)
             * np.asarray(f1(t), dtype=np.complex128)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleProximityError, ResonanceError
+from .grid import as_points
 from .kernels import qpoch_array, qpoch_ratio_array, theta_array
 
 
@@ -112,10 +113,11 @@ def phase_phi(t, params, policy=DEFAULT_POLICY, guard=1e-8):
     Phi = prod_{m,a} (xi_m^-1 t_a/z_m)_inf / (xi_m t_a/z_m)_inf
         * prod_{a<b} (eta t_a/t_b)_inf / (eta^-1 t_a/t_b)_inf.
 
-    `t` has shape (..., ell); scalar points get the pole-proximity guard,
-    batched grids are assumed pre-validated by the quadrature planner.
+    `t` has shape (..., ell) or is a ProductGrid, whose single-coordinate
+    factors are evaluated per axis; scalar points get the pole-proximity
+    guard, batched grids are assumed pre-validated by the quadrature planner.
     """
-    t = np.asarray(t, dtype=np.complex128)
+    t = as_points(t)
     ell = t.shape[-1]
     if ell == 0:
         return np.ones(t.shape[:-1], dtype=np.complex128) if t.ndim > 1 else 1.0 + 0j

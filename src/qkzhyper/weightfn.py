@@ -8,7 +8,8 @@ the auxiliary polynomial/theta bases of the two function spaces, star
 products, and the discrete shift operators of the local system.
 
 Evaluation convention: a field is a callable f(t) vectorized over the leading
-axes of t, with t.shape == (..., ell).
+axes of t, with t.shape == (..., ell).  t may be a grid.ProductGrid, whose
+t[..., a] is broadcast-shaped; the result must broadcast to t.shape[:-1].
 """
 
 import cmath
@@ -19,12 +20,18 @@ import numpy as np
 
 from . import combin
 from .errors import ResonanceError
+from .grid import ProductGrid
 from .numkernel import DEFAULT_POLICY, qpoch, theta, theta_prime_one, theta_ratio
 
 _TINY = 1e-240
 
 
 def _as_batch(t, ell):
+    """(points, single): a ProductGrid passes through as it is, so the
+    subset forms read its per-axis coordinates; the symmetrized forms
+    densify it inside combin.sym_act_*."""
+    if isinstance(t, ProductGrid):
+        return t, False
     t = np.asarray(t, dtype=np.complex128)
     if ell == 0:
         single = t.ndim <= 1

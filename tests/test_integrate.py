@@ -3,8 +3,8 @@ import pytest
 
 from qkzhyper import combin, integrate as ig, weightfn as wf
 from qkzhyper.cli_params import sample_params
-from qkzhyper.errors import ConvergenceError
-from qkzhyper.numkernel import qpoch, theta
+from qkzhyper.errors import ConvergenceError, DegeneracyError
+from qkzhyper.numkernel import ParameterSet, qpoch, theta
 
 RNG = np.random.default_rng(12)
 
@@ -126,6 +126,93 @@ def test_jackson_regime_guard():
     wfn = lambda t: wf.w_trig((1, 0), t, P, "subset")
     with pytest.raises(ConvergenceError):
         ig.jackson_sum(Wf, wfn, P, side="y")
+
+
+def test_jackson_unknown_side():
+    P = sample_params(3, 2, 1)
+    calls = []
+    Wf = lambda t: calls.append(t) or wf.W_ell((1, 0), t, P, "subset")
+    wfn = lambda t: wf.w_trig((1, 0), t, P, "subset")
+    for side in ("Y", "X", "z"):
+        with pytest.raises(ValueError):
+            ig.jackson_sum(Wf, wfn, P, side=side)
+        with pytest.raises(ValueError):
+            ig.jackson_sum(Wf, wfn, P, side=side, enforce_regime=False)
+    assert not calls
+
+
+@pytest.mark.parametrize("ell", [0, 2])
+def test_torus_bad_measure_raises_before_integrand(ell):
+    calls = []
+    f = lambda t: calls.append(t) or np.ones(np.shape(t)[:-1], dtype=complex)
+    with pytest.raises(ValueError):
+        ig.torus_integral(f, ell, ig.QuadratureSpec(8), measure="dz")
+    assert not calls
+    assert ig.torus_integral(f, ell, ig.QuadratureSpec(8), measure="dt") != 0
+
+
+def _residue_radii_loop(center, params, shrink=0.05, smax=24):
+    """Scalar reference of integrate._residue_radii, one candidate at a time."""
+    p, eta = params.p, params.eta
+    fixed = [0.0]
+    for m in range(params.n):
+        for s in range(smax):
+            fixed.append(p**s * params.xi[m] * params.z[m])
+            fixed.append(p ** (-s) * params.z[m] / params.xi[m])
+    radii = []
+    for k, ck in enumerate(center):
+        cands = list(fixed)
+        for b, cb in enumerate(center):
+            if b != k:
+                for s in range(-smax, smax + 1):
+                    cands += [p**s * eta * cb, p**s / eta * cb, p**s * cb]
+        near = [abs(ck - c) for c in cands if abs(ck - c) < 1e-9 * abs(ck)]
+        dmin = min(abs(ck - c) for c in cands if abs(ck - c) >= 1e-9 * abs(ck))
+        assert len(near) <= 6
+        rk = shrink * dmin
+        for j in range(k):
+            if ig._divisor_through_center(ck, center[j], p, eta, smax):
+                rk = min(rk, 0.2 * abs(ck / center[j]) * radii[j])
+        radii.append(rk)
+    return radii
+
+
+def test_residue_radii_closed_forms():
+    p, xi, z = 0.3 * np.exp(0.4j), 0.5 * np.exp(1.1j), np.exp(0.3j)
+    P1 = ParameterSet(p=p, eta=1.8 + 0.2j, kappa=0.7, xi=(xi,), z=(z,), n=1, ell=1)
+    # plain point x = xi z: its own pole is skipped and the nearest other
+    # catalog pole is p xi z (closer than the origin and z / xi)
+    (r,) = ig._residue_radii((xi * z,), P1)
+    assert abs(r - 0.05 * abs(xi * z) * abs(1 - p)) < 1e-15
+    # divisor through the centre: (c_0, c_1) = (xi z / eta, xi z) has
+    # c_1 = eta c_0, so the inner radius is clamped to 0.2 |c_1 / c_0| r_0
+    P2 = P1.with_ell(2)
+    c = wf.special_point((2,), P2, "x")
+    r0, r1 = ig._residue_radii(c, P2)
+    assert abs(r0 - _residue_radii_loop(c, P2)[0]) < 1e-15 * r0
+    assert abs(r1 - 0.2 * abs(c[1] / c[0]) * r0) < 1e-15 * r1
+    assert r1 < 0.05 * min(abs(c[1] - v) for v in (0.0, p * xi * z, z / xi))
+
+
+def test_residue_radii_match_scalar_reference():
+    for n, ell, regime in ((2, 2, "jackson_overlap"), (3, 2, "convergent"), (2, 3, "convergent")):
+        P = sample_params(11 * n + ell, n, ell, regime=regime)
+        for side in ("x", "y"):
+            for mvec in combin.index_vectors(n, ell):
+                for shift in ((0,) * ell, (1,) + (0,) * (ell - 1), (0,) * (ell - 1) + (2,)):
+                    sh = shift if side == "x" else tuple(-v for v in shift)
+                    c = wf.special_point(mvec, P, side, sh)
+                    got = ig._residue_radii(c, P)
+                    want = _residue_radii_loop(c, P)
+                    assert np.allclose(got, want, rtol=1e-14, atol=0), (mvec, side, shift)
+
+
+def test_residue_radii_degenerate_point():
+    P = ParameterSet(p=0.3, eta=1.0, kappa=0.7, xi=(0.5,), z=(1.0,), n=1, ell=3)
+    # three coordinates stacked on the pole xi z with eta = 1: the catalog
+    # pole and three pair divisors per partner meet there, seven in all
+    with pytest.raises(DegeneracyError):
+        ig._residue_radii((0.5, 0.5, 0.5), P)
 
 
 def test_jackson_l1_leading_residue():
