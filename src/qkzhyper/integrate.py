@@ -273,9 +273,10 @@ def _shell_sum(shell_terms, cutoff, tol):
     shell s.
 
     Stops once two consecutive shells are below tol * |total|, from shell 3
-    on.  The tail past the last shell is estimated as geometric with the
-    ratio of the last two shells.  Returns (total, {"shells", "last_shell",
-    "tail_estimate", "ratio"}).
+    on; reaching shell `cutoff` first raises ConvergenceError.  The tail
+    past the last shell is estimated as geometric with the ratio of the last
+    two shells.  Returns (total, {"shells", "last_shell", "tail_estimate",
+    "ratio"}).
     """
     total = 0.0 + 0j
     sizes = []
@@ -288,6 +289,10 @@ def _shell_sum(shell_terms, cutoff, tol):
         bound = tol * max(abs(total), 1e-300)
         if shell >= 3 and sizes[-1] < bound and sizes[-2] < bound:
             break
+    else:
+        raise ConvergenceError(
+            f"lattice sum not settled after {cutoff + 1} shells: last shell {sizes[-1]:.3g}, total {abs(total):.3g}"
+        )
     last = sizes[-1]
     prev = sizes[-2] if len(sizes) > 1 else last
     ratio = last / prev if prev > 0 else 0.0
@@ -321,7 +326,8 @@ def jackson_sum(
 
     side="x": (2 pi i)^ell ell! sum over m, s >= 0 of Res at x<(m, s);
     side="y": (-2 pi i)^ell ell! sum at y>(m, -s).  Shells are |s|_1, summed
-    by _shell_sum; the tail estimate is scaled to the returned value.
+    by _shell_sum, which raises ConvergenceError if the sum has not settled
+    by shell `cutoff`.  The tail estimate is scaled to the returned value.
     """
     ell, n = params.ell, params.n
     if side not in ("x", "y"):

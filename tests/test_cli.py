@@ -140,6 +140,66 @@ def test_verify_with_explicit_params(tmp_path):
     assert cli.main(["verify", "pairing-det", "--params", str(f)]) == 0
 
 
+def _params_file(tmp_path, P):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(cli.params_to_dict(P)))
+    return str(f)
+
+
+# (n, ell, regime) of a parameter file per suite, and the ids the seeded run
+# of that suite reports for its draw at that (n, ell)
+PARAMS_CASES = {
+    "kernel": (2, 2, "convergent", [
+        "qpoch-functional-eq", "theta-quasi-periodicity", "theta-inversion", "theta-zero",
+        "theta-prime-one-fd", "phase-swap-symmetry",
+    ]),
+    "weights": (2, 2, "convergent", [
+        f"{w}-form-agreement-{l}" for l in ((0, 2), (1, 1), (2, 0)) for w in "wW"
+    ] + ["detM-(2,2)", "detMq-(2,2)"]),
+    "rmatrix": (3, 1, "convergent", ["R-two-methods-0", "R-inversion-0", "R-intertwining-0", "R-ybe-0"]),
+    "qkz": (2, 1, "solution", [
+        "qkz-flatness-n2-l1-0", "qkz-solution-residual", "qkz-solution-singular", "qkz-solution-functorial",
+    ]),
+    "pairing-det": (2, 1, "convergent", ["det-mu-generic-(2,1)", "det-mu-plus-(2,1)", "det-mu-minus-(2,1)"]),
+    "jackson": (2, 1, "jackson_overlap", ["jackson-x-(2,1)", "jackson-y-(2,1)"]),
+    "shapovalov": (2, 1, "convergent", [
+        f"shapovalov-{k}-(2,1)" for k in ("ell-diag", "ell-offdiag", "trig-diag", "trig-offdiag")
+    ] + ["residue-balance-(2,1)"]),
+    "transition": (2, 1, "convergent", ["transition-trig-adjacent-l1", "transition-ell-adjacent-l1"]),
+}
+
+
+def test_params_cases_cover_every_params_suite():
+    assert set(PARAMS_CASES) == set(suites.ON_PARAMS)
+
+
+@pytest.mark.parametrize("suite", sorted(PARAMS_CASES))
+def test_verify_params_runs_the_seeded_checks(suite, tmp_path):
+    n, ell, regime, ids = PARAMS_CASES[suite]
+    rp = tmp_path / "report.json"
+    f = _params_file(tmp_path, sample_params(9, n, ell, regime=regime))
+    assert cli.main(["verify", suite, "--params", f, "--report", str(rp)]) == 0
+    assert [c["id"] for c in json.loads(rp.read_text())["checks"]] == ids
+
+
+@pytest.mark.parametrize("suite", ["asymptotics", "identities"])
+def test_verify_params_rejected_by_unparametrized_suites(suite, tmp_path):
+    f = _params_file(tmp_path, sample_params(9, 2, 1))
+    assert cli.main(["verify", suite, "--params", f]) == 2
+
+
+def test_verify_params_honours_cutoff(tmp_path):
+    # two shells cannot settle the Jackson sums, so the run fails structurally
+    f = _params_file(tmp_path, sample_params(9, 2, 1, regime="jackson_overlap"))
+    assert cli.main(["verify", "jackson", "--params", f, "--cutoff", "2"]) == 2
+
+
+def test_verify_params_honours_grid(tmp_path):
+    # an 8-node torus grid is too coarse for the 1e-8 determinant tolerance
+    f = _params_file(tmp_path, sample_params(9, 2, 1))
+    assert cli.main(["verify", "pairing-det", "--params", f, "--grid", "8"]) == 1
+
+
 def test_verify_resonant_params_structured_failure(tmp_path):
     bad = ParameterSet(
         p=0.2, eta=2.0, kappa=1.0, xi=(np.sqrt(2.0), 0.4), z=(1.0, -1.0), n=2, ell=2

@@ -4,7 +4,7 @@ import pytest
 from qkzhyper import combin, integrate as ig, weightfn as wf
 from qkzhyper.cli_params import sample_params
 from qkzhyper.errors import ConvergenceError, DegeneracyError
-from qkzhyper.numkernel import ParameterSet, qpoch, theta
+from qkzhyper.numkernel import ParameterSet, phase_phi, qpoch, theta
 
 RNG = np.random.default_rng(12)
 
@@ -104,6 +104,21 @@ def test_shell_sum_geometric():
     assert rep["last_shell"] == r ** (N - 1)
     assert abs(rep["ratio"] - r) < 1e-12
     assert abs(rep["tail_estimate"] - r**N / (1 - r)) < 1e-10 * r**N
+
+
+def test_shell_sum_raises_at_cutoff():
+    # r^s needs about 55 shells to fall below 1e-12; five cannot settle it
+    with pytest.raises(ConvergenceError):
+        ig._shell_sum(lambda s: [0.6**s], cutoff=5, tol=1e-12)
+
+
+def test_jackson_sum_raises_at_cutoff():
+    # acceptance criterion C06's (2, 1) draw settles after more than two shells
+    P = sample_params(9, 2, 1, regime="jackson_overlap")
+    Wf = lambda t: wf.W_ell((0, 1), t, P, "subset")
+    wfn = lambda t: wf.w_trig((1, 0), t, P, "subset")
+    with pytest.raises(ConvergenceError):
+        ig.jackson_sum(Wf, wfn, P, side="x", cutoff=2)
 
 
 def test_jackson_vs_torus():
@@ -216,13 +231,14 @@ def test_residue_radii_degenerate_point():
 
 
 def test_jackson_l1_leading_residue():
-    # cutoff 0 for (n, ell) = (1, 1): single residue at xi z reproduces the
-    # leading term of the closed-form series
+    # (n, ell) = (1, 1): the single shell-0 residue of the x-side Jackson
+    # integrand, at xi z, reproduces the leading term of the closed-form series
     P = sample_params(9, 1, 1, regime="jackson_overlap")
     Wf = lambda t: wf.W_ell((1,), t, P, "subset")
     wfn = lambda t: wf.w_trig((1,), t, P, "subset")
     I0 = ig.hyper_I(Wf, wfn, P, ig.QuadratureSpec(192))
-    val, rep = ig.jackson_sum(Wf, wfn, P, side="x", cutoff=0)
+    f = lambda t: phase_phi(t, P) / t[..., 0] * wfn(t) * Wf(t)
+    val = 2j * np.pi * ig.multi_residue(f, wf.special_point((1,), P, "x"), params=P)
     # the shell-0 term dominates with the overlap decay rate
     assert abs(val - I0) / abs(I0) < abs(P.p * P.kappa / P.xi_prod) * 1.5
 
