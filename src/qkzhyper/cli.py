@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from . import __version__, integrate, solutions
+from . import __version__, integrate, solutions, suites
 from .cli_params import sample_params
 from .errors import QkzError
 from .numkernel import ParameterSet
@@ -103,56 +103,45 @@ def cmd_verify(args):
     return 0 if n_fail == 0 else 1
 
 
+TABLE_IDENTITIES = ("qbeta", "askey_roy", "arl", "ascj", "detM", "detMq")
+
+
+def _table_seed(identity, sd, args):
+    """(meta, lhs, rhs) of each row of one seed.  The torus identities go
+    through their suite check functions; the determinants are taken at
+    sample_params(sd, 2, 2)."""
+    rng = np.random.default_rng(sd)
+    draw = lambda *mods: [m * np.exp(1j * rng.uniform(0, 2 * np.pi)) for m in mods]
+    if identity == "qbeta":
+        a, b, c, x, p = draw(0.35, 0.4, 1.2, 0.42, 0.2)
+        grids = ((1, 256), (2, 128))
+        recs = [({"ell": ell}, suites.qbeta_check(a, b, c, x, p, ell, M, args.tol)) for ell, M in grids]
+    elif identity == "askey_roy":
+        a, b, c, al, be, p = draw(0.35, 0.4, 1.2, 0.3, 0.28, 0.2)
+        recs = [({}, suites.askey_roy_check(a, b, c, al, be, p, 256, args.tol))]
+    elif identity == "arl":
+        a, b, c, al, be, x, p = draw(0.35, 0.4, 1.2, 0.3, 0.28, 0.42, 0.2)
+        recs = [({"ell": 2}, suites.arl_check(a, b, c, al, be, x, p, 2, 128, args.tol))]
+    elif identity == "ascj":
+        a, b, al, be = draw(0.32, 0.36, 0.3, 0.28)
+        recs = [({"ell": 2, "m": 1}, suites.ascj_check(a, b, al, be, 0.25, 1, 2, args.cutoff, args.tol))]
+    else:
+        prm = sample_params(sd, 2, 2)
+        trig = identity == "detM"
+        lhs = solutions.detM_numeric(prm, "trig" if trig else "elliptic")
+        return [({"n": 2, "ell": 2}, lhs, integrate.detM_rhs(prm) if trig else integrate.detMq_rhs(prm))]
+    return [(meta, rec["lhs"], rec["rhs"]) for meta, (rec,) in recs]
+
+
 def cmd_table(args):
+    if args.identity not in TABLE_IDENTITIES:
+        print(f"unknown identity {args.identity!r}", file=sys.stderr)
+        return 2
     rows = []
-    seeds = range(args.seed, args.seed + args.rows)
     t0 = time.perf_counter()
     try:
-        for sd in seeds:
-            rng = np.random.default_rng(sd)
-            draw = lambda mod: mod * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            if args.identity == "qbeta":
-                a, b, c, x, p = draw(0.35), draw(0.4), draw(1.2), draw(0.42), draw(0.2)
-                for ell in (1, 2):
-                    M = 256 if ell == 1 else 128
-                    lhs = integrate.torus_integral(
-                        integrate.qbeta_integrand(a, b, c, x, p, ell),
-                        ell,
-                        integrate.QuadratureSpec(M),
-                        measure="dt",
-                    )
-                    rhs = integrate.qbeta_rhs(a, b, c, x, p, ell)
-                    rows.append(_row(sd, {"ell": ell}, lhs, rhs))
-            elif args.identity == "askey_roy":
-                a, b, c, al, be, p = draw(0.35), draw(0.4), draw(1.2), draw(0.3), draw(0.28), draw(0.2)
-                lhs = integrate.torus_integral(
-                    integrate.askey_roy_integrand(a, b, c, al, be, p), 1, integrate.QuadratureSpec(256)
-                )
-                rows.append(_row(sd, {}, lhs, integrate.askey_roy_rhs(a, b, c, al, be, p)))
-            elif args.identity == "arl":
-                a, b, c, al, be, x, p = (
-                    draw(0.35), draw(0.4), draw(1.2), draw(0.3), draw(0.28), draw(0.42), draw(0.2),
-                )
-                lhs = integrate.torus_integral(
-                    integrate.arl_integrand(a, b, c, al, be, x, p, 2),
-                    2,
-                    integrate.QuadratureSpec(128),
-                    measure="dt",
-                )
-                rows.append(_row(sd, {"ell": 2}, lhs, integrate.arl_rhs(a, b, c, al, be, x, p, 2)))
-            elif args.identity == "ascj":
-                a, b, al, be = draw(0.32), draw(0.36), draw(0.3), draw(0.28)
-                s, r, _ = integrate.ascj_sum(a, b, al, be, 0.25, 1, 2, cutoff=args.cutoff)
-                rows.append(_row(sd, {"ell": 2, "m": 1}, s, r))
-            elif args.identity in ("detM", "detMq"):
-                prm = sample_params(sd, 2, 2)
-                flavor = "trig" if args.identity == "detM" else "elliptic"
-                lhs = solutions.detM_numeric(prm, flavor)
-                rhs = integrate.detM_rhs(prm) if flavor == "trig" else integrate.detMq_rhs(prm)
-                rows.append(_row(sd, {"n": 2, "ell": 2}, lhs, rhs))
-            else:
-                print(f"unknown identity {args.identity!r}", file=sys.stderr)
-                return 2
+        for sd in range(args.seed, args.seed + args.rows):
+            rows += [_row(sd, meta, lhs, rhs) for meta, lhs, rhs in _table_seed(args.identity, sd, args)]
     except QkzError as exc:
         print(f"structured failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -216,7 +205,7 @@ def build_parser():
     v.set_defaults(fn=cmd_verify)
 
     t = sub.add_parser("table", help="LHS/RHS table for one identity over a seed grid")
-    t.add_argument("identity", help="qbeta|askey_roy|arl|ascj|detM|detMq")
+    t.add_argument("identity", help="|".join(TABLE_IDENTITIES))
     t.add_argument("--seed", type=int, default=1)
     t.add_argument("--rows", type=int, default=3)
     t.add_argument("--tol", type=float, default=1e-8)

@@ -13,44 +13,47 @@ from .errors import SamplingError
 from .numkernel import ParameterSet
 
 BAND = 0.75  # pole moduli must stay outside [BAND, 1/BAND] around the torus
-MARGIN = 0.05
-KAPPA_MARGIN = 0.02
+BAND_SMAX = 60  # p-shells of a pole family checked against the band
+MARGIN = 0.05  # genericity margins of a draw
+KAPPA_MARGIN = 0.02  # distance of kappa from its special-value lattices
+KAPPA_SMAX = 40  # p-shells of those lattices
+ATTEMPTS = 1000  # draws tried before sampling gives up
 
 
-def _band_ok(value, band=BAND, smax=60, p=None):
-    """All |p^s value| outside the modulus band around 1."""
+def _band_ok(value, p):
+    """All |p^s value|, s < BAND_SMAX, outside the modulus band around 1."""
     v = abs(value)
     ap = abs(p)
-    for _ in range(smax):
-        if band < v < 1.0 / band:
+    for _ in range(BAND_SMAX):
+        if BAND < v < 1.0 / BAND:
             return False
         v *= ap
-        if v < band * ap:
+        if v < BAND * ap:
             break
     return True
 
 
-def quadrature_band_ok(params, band=BAND):
+def quadrature_band_ok(params):
+    p = params.p
     for m in range(params.n):
-        if not _band_ok(params.xi[m] * params.z[m], band, p=params.p):
+        if not _band_ok(params.xi[m] * params.z[m], p):
             return False
-        if not _band_ok(params.z[m] / params.xi[m] / params.p, band, p=params.p):
+        if not _band_ok(params.z[m] / params.xi[m] / p, p):
             return False
     r = abs(params.eta)
-    if not (_band_ok(1.0 / r, band, p=params.p) and _band_ok(r * abs(params.p), band, p=params.p)):
-        return False
-    return True
+    return _band_ok(1.0 / r, p) and _band_ok(r * abs(p), p)
 
 
-def kappa_margins_ok(params, delta=KAPPA_MARGIN, smax=40):
+def kappa_margins_ok(params):
     """Distance of kappa from the two special-value lattices and of the
-    Wbasis resonance products from p^s eta^r."""
+    Wbasis resonance products from p^s eta^r, at least KAPPA_MARGIN."""
     p, eta = params.p, params.eta
     ell = params.ell
+    delta = KAPPA_MARGIN
     for r in range(max(ell, 1)):
         base_p = eta**-r * params.xi_prod
         base_m = eta**r / params.xi_prod
-        for s in range(smax):
+        for s in range(KAPPA_SMAX):
             if abs(params.kappa / (p**s * base_p) - 1) < delta:
                 return False
             if abs(params.kappa * p ** (s + 1) / base_m - 1) < delta:
@@ -68,7 +71,7 @@ def kappa_margins_ok(params, delta=KAPPA_MARGIN, smax=40):
     return True
 
 
-def sample_params(seed, n, ell, regime="convergent", attempts=1000, delta=MARGIN):
+def sample_params(seed, n, ell, regime="convergent"):
     """Deterministic admissible draw.
 
     regimes:
@@ -82,7 +85,7 @@ def sample_params(seed, n, ell, regime="convergent", attempts=1000, delta=MARGIN
       small_xi         |xi| < |p| (annulus argument for the derivative tests)
     """
     rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         if regime in ("convergent", "solution", "asymptotic"):
             pmod = rng.uniform(0.08, 0.22)
             emod = rng.uniform(1.6, 2.6)
@@ -125,7 +128,7 @@ def sample_params(seed, n, ell, regime="convergent", attempts=1000, delta=MARGIN
         except Exception:
             continue
         marg = prm.margins()
-        if min(marg.values()) < delta:
+        if min(marg.values()) < MARGIN:
             continue
         if not kappa_margins_ok(prm):
             continue
@@ -134,4 +137,4 @@ def sample_params(seed, n, ell, regime="convergent", attempts=1000, delta=MARGIN
         if regime == "solution" and abs(p * kappa / prm.xi_prod) >= 0.8:
             continue
         return prm
-    raise SamplingError(f"no admissible draw after {attempts} attempts (seed={seed})")
+    raise SamplingError(f"no admissible draw after {ATTEMPTS} attempts (seed={seed})")

@@ -10,7 +10,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .numkernel import DEFAULT_POLICY, theta, theta_ratio
+from .numkernel import theta_ratio
 
 
 def index_vectors(n, ell):
@@ -113,7 +113,7 @@ def sym_act_trig(f, sigma, eta):
     return g
 
 
-def sym_act_ell(f, sigma, eta, p, policy=DEFAULT_POLICY):
+def sym_act_ell(f, sigma, eta, p):
     """Elliptic action [[f]]_sigma with factor
     eta theta(eta^-1 t_sigma_b / t_sigma_a) / theta(eta t_sigma_b / t_sigma_a)."""
     sigma = tuple(sigma)
@@ -127,7 +127,7 @@ def sym_act_ell(f, sigma, eta, p, policy=DEFAULT_POLICY):
             for b in range(a + 1, ell):
                 if sigma[a] > sigma[b]:
                     r = t[..., sigma[b]] / t[..., sigma[a]]
-                    out *= eta * theta_ratio(r / eta, eta * r, p, policy)
+                    out *= eta * theta_ratio(r / eta, eta * r, p)
         return out
 
     return g

@@ -19,7 +19,7 @@ import numpy as np
 from . import combin, weightfn
 from .errors import ConvergenceError, DegeneracyError, PoleProximityError
 from .grid import ProductGrid, as_points
-from .numkernel import DEFAULT_POLICY, phase_phi, qpoch, theta, theta_ratio
+from .numkernel import POLE_GUARD, phase_phi, qpoch, theta, theta_ratio
 
 TWO_PI_I = 2j * math.pi
 _CHUNK = 1 << 17
@@ -28,8 +28,6 @@ _CHUNK = 1 << 17
 @dataclass(frozen=True)
 class QuadratureSpec:
     points_per_circle: int = 128
-    radii: tuple = None
-    guard: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,7 @@ class ResiduePlan:
 
 
 def torus_integral(f, ell, spec=QuadratureSpec(), measure="dt_over_t"):
-    """Integral over the product of circles |t_a| = r_a.
+    """Integral over the unit torus |t_a| = 1.
 
     measure="dt_over_t" gives int f (dt/t)^ell = (2 pi i)^ell * mean f;
     measure="dt" gives int f d^ell t = (2 pi i)^ell * mean (f * prod t_a).
@@ -50,9 +48,8 @@ def torus_integral(f, ell, spec=QuadratureSpec(), measure="dt_over_t"):
     if ell == 0:
         return complex(f(np.zeros((1, 0), dtype=np.complex128))[0])
     M = spec.points_per_circle
-    radii = spec.radii if spec.radii is not None else (1.0,) * ell
     total = 0.0 + 0j
-    for t in _grid_chunks((0.0,) * ell, radii, M):
+    for t in _grid_chunks((0.0,) * ell, (1.0,) * ell, M):
         vals = np.asarray(f(t), dtype=np.complex128)
         if measure == "dt":
             for a in range(ell):
@@ -100,36 +97,37 @@ def auto_radius(params):
     return math.sqrt(rin * rout)
 
 
-def validate_torus(params, radius, guard=1e-8):
-    """Guard against quadrature circles through catalog poles."""
+def validate_torus(params, radius):
+    """Guard against quadrature circles within POLE_GUARD of catalog poles."""
     for m in range(params.n):
         for fam in (abs(params.xi[m] * params.z[m]), abs(params.z[m] / params.xi[m])):
             s = fam
             for _ in range(60):
-                if abs(s - radius) < guard * radius:
+                if abs(s - radius) < POLE_GUARD * radius:
                     raise PoleProximityError("torus radius hits a pole family")
                 s *= abs(params.p)
-                if s < guard * radius:
+                if s < POLE_GUARD * radius:
                     break
     r = abs(params.eta)
     for fam in (r, 1.0 / r):
         s = fam
         for _ in range(60):
-            if abs(s - 1.0) < guard:
+            if abs(s - 1.0) < POLE_GUARD:
                 raise PoleProximityError("pair-pole family on the diagonal torus")
             s *= abs(params.p)
-            if s < guard:
+            if s < POLE_GUARD:
                 break
 
 
-def hyper_I(Wf, wf, params, spec=QuadratureSpec(), policy=DEFAULT_POLICY):
+def hyper_I(Wf, wf, params, spec=QuadratureSpec()):
     """Hypergeometric pairing I(W, w) = int Phi w W (dt/t)^ell on the torus."""
-    mat = hyper_I_many([Wf], [wf], params, spec, policy)
+    mat = hyper_I_many([Wf], [wf], params, spec)
     return complex(mat[0, 0])
 
 
-def hyper_I_many(Ws, ws, params, spec=QuadratureSpec(), policy=DEFAULT_POLICY):
-    """Matrix [I(W_i, w_j)] sharing one phase-function evaluation per node."""
+def hyper_I_many(Ws, ws, params, spec=QuadratureSpec()):
+    """Matrix [I(W_i, w_j)] sharing one phase-function evaluation per node,
+    on the torus of radius auto_radius(params)."""
     ell = params.ell
     if ell == 0:
         z0 = np.zeros((1, 0), dtype=np.complex128)
@@ -137,13 +135,12 @@ def hyper_I_many(Ws, ws, params, spec=QuadratureSpec(), policy=DEFAULT_POLICY):
             [[complex(W(z0)[0]) * complex(w(z0)[0]) for w in ws] for W in Ws],
             dtype=np.complex128,
         )
-    if spec.radii is None:
-        spec = QuadratureSpec(spec.points_per_circle, (auto_radius(params),) * ell, spec.guard)
-    validate_torus(params, spec.radii[0], spec.guard)
+    radius = auto_radius(params)
+    validate_torus(params, radius)
     M = spec.points_per_circle
     out = np.zeros((len(Ws), len(ws)), dtype=np.complex128)
-    for t in _grid_chunks((0.0,) * ell, spec.radii, M):
-        phi = phase_phi(t, params, policy)
+    for t in _grid_chunks((0.0,) * ell, (radius,) * ell, M):
+        phi = phase_phi(t, params)
         Wv = [np.asarray(W(t), dtype=np.complex128) for W in Ws]
         wv = [np.asarray(w(t), dtype=np.complex128) for w in ws]
         for i, Wvi in enumerate(Wv):
@@ -157,31 +154,40 @@ def hyper_I_many(Ws, ws, params, spec=QuadratureSpec(), policy=DEFAULT_POLICY):
 # nested residues
 
 
-@functools.lru_cache(maxsize=32)
-def _pole_catalog(params, smax):
-    """(fixed, pair) pole data of `params`, built once per (params, smax).
+# Residue circles: the p-shells of the pole catalog (|s| < _SMAX) and of the
+# pair divisors (|s| <= _SMAX), and the circle radius as a fraction of the
+# distance to the nearest other singularity.
+_SMAX = 24
+_SHRINK = 0.05
 
-    fixed: the origin and the families p^s xi_m z_m, p^-s z_m / xi_m
-    (0 <= s < smax); pair: the multipliers p^s eta, p^s / eta, p^s
-    (|s| <= smax) that place a pair pole at multiplier * c_b.  Both arrays
-    are read-only, since the cache hands them to every caller."""
+
+@functools.lru_cache(maxsize=32)
+def _pole_catalog(params):
+    """(fixed, pair) pole data of `params`, built once per params.
+
+    fixed: the origin and the two-sided families p^s xi_m z_m and
+    p^s z_m / xi_m (|s| < _SMAX), which hold the poles of the weight
+    functions, the phase function and the theta quotients of omega_elliptic;
+    pair: the multipliers p^s eta, p^s / eta, p^s (|s| <= _SMAX) that place
+    a pair pole at multiplier * c_b.  Both arrays are read-only, since the
+    cache hands them to every caller."""
     p, eta = params.p, params.eta
     fixed = [0.0]
     for m in range(params.n):
-        for s in range(smax):
+        for s in range(1 - _SMAX, _SMAX):
             fixed.append(p**s * params.xi[m] * params.z[m])
-            fixed.append(p ** (-s) * params.z[m] / params.xi[m])
-    pair = [v for s in range(-smax, smax + 1) for v in (p**s * eta, p**s / eta, p**s)]
+            fixed.append(p**s * params.z[m] / params.xi[m])
+    pair = [v for s in range(-_SMAX, _SMAX + 1) for v in (p**s * eta, p**s / eta, p**s)]
     out = (np.array(fixed, dtype=np.complex128), np.array(pair, dtype=np.complex128))
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _residue_radii(center, params, shrink=0.05, smax=24):
+def _residue_radii(center, params):
     """Per-coordinate circle radii for the nested residue at `center`.
 
-    Base radius is shrink times the distance to the nearest other
+    Base radius is _SHRINK times the distance to the nearest other
     singularity (fixed catalog poles, eta-shifted partners, origin); poles
     within 1e-9 |c_k| of c_k are the point's own, and more than 6 of them
     is a degeneracy.  When a pair divisor t_k = p^s eta^e t_j passes through
@@ -191,7 +197,7 @@ def _residue_radii(center, params, shrink=0.05, smax=24):
     """
     ell = len(center)
     c = np.asarray(center, dtype=np.complex128)
-    fixed, pair = _pole_catalog(params, smax)
+    fixed, pair = _pole_catalog(params)
     partners = np.multiply.outer(pair, c)
     radii = []
     for k in range(ell):
@@ -202,9 +208,9 @@ def _residue_radii(center, params, shrink=0.05, smax=24):
         dmin = float(d[~own].min(initial=math.inf))
         if np.count_nonzero(own) > 6 or not math.isfinite(dmin):
             raise DegeneracyError("multiple singularity intersection at residue point")
-        rk = shrink * dmin
+        rk = _SHRINK * dmin
         for j in range(k):
-            if _divisor_through_center(center[k], center[j], params.p, params.eta, smax):
+            if _divisor_through_center(center[k], center[j], params.p, params.eta, _SMAX):
                 rk = min(rk, 0.2 * abs(center[k] / center[j]) * radii[j])
         radii.append(rk)
     return tuple(radii)
@@ -227,7 +233,7 @@ def _divisor_through_center(ck, cj, p, eta, smax):
     return False
 
 
-def multi_residue(f, center, params=None, plan=None, shrink=0.05):
+def multi_residue(f, center, params=None, plan=None):
     """Nested residue Res_{t1=c1}(... Res_{tl=cl} f ...) by iterated
     small-circle trapezoidal contours (simple poles along each extraction)."""
     center = np.asarray(center, dtype=np.complex128)
@@ -237,7 +243,7 @@ def multi_residue(f, center, params=None, plan=None, shrink=0.05):
     if plan is None:
         if params is None:
             raise ValueError("need params or an explicit plan")
-        plan = ResiduePlan(tuple(center), _residue_radii(center, params, shrink))
+        plan = ResiduePlan(tuple(center), _residue_radii(center, params))
     total = 0.0 + 0j
     for t in _grid_chunks(center, plan.radii, plan.points):
         vals = np.asarray(f(t), dtype=np.complex128)
@@ -247,18 +253,18 @@ def multi_residue(f, center, params=None, plan=None, shrink=0.05):
     return complex(total / plan.points**ell)
 
 
-def _residue_at(f, pt, params, points):
-    """Nested residue of f at pt on circles of `points` nodes sized by
+def _residue_at(f, pt, params):
+    """Nested residue of f at pt on ResiduePlan circles sized by
     _residue_radii."""
-    return multi_residue(f, pt, plan=ResiduePlan(tuple(pt), _residue_radii(pt, params), points))
+    return multi_residue(f, pt, plan=ResiduePlan(tuple(pt), _residue_radii(pt, params)))
 
 
-def _special_residue_sum(f, params, side, points):
+def _special_residue_sum(f, params, side):
     """Sum of the nested residues of f at every special point x<m (side "x")
     or y>m (side "y", with the (-1)^ell sign)."""
     total = 0.0 + 0j
     for mvec in combin.index_vectors(params.n, params.ell):
-        total += _residue_at(f, weightfn.special_point(mvec, params, side), params, points)
+        total += _residue_at(f, weightfn.special_point(mvec, params, side), params)
     if side == "y":
         total *= (-1.0) ** params.ell
     return total
@@ -275,8 +281,8 @@ def _shell_sum(shell_terms, cutoff, tol):
     Stops once two consecutive shells are below tol * |total|, from shell 3
     on; reaching shell `cutoff` first raises ConvergenceError.  The tail
     past the last shell is estimated as geometric with the ratio of the last
-    two shells.  Returns (total, {"shells", "last_shell", "tail_estimate",
-    "ratio"}).
+    two shells, and a tail above tol * |total| raises ConvergenceError too.
+    Returns (total, {"shells", "last_shell", "tail_estimate", "ratio"}).
     """
     total = 0.0 + 0j
     sizes = []
@@ -297,13 +303,15 @@ def _shell_sum(shell_terms, cutoff, tol):
     prev = sizes[-2] if len(sizes) > 1 else last
     ratio = last / prev if prev > 0 else 0.0
     tail = last * ratio / (1 - ratio) if 0 < ratio < 1 else last
+    if tail > bound:
+        raise ConvergenceError(f"lattice sum tail estimate {tail:.3g} after {len(sizes)} shells exceeds {bound:.3g}")
     return total, {"shells": len(sizes), "last_shell": last, "tail_estimate": tail, "ratio": ratio}
 
 
-def _phase_tilde(params, policy):
+def _phase_tilde(params):
     def f(t):
         t = as_points(t)
-        out = phase_phi(t, params, policy)
+        out = phase_phi(t, params)
         for a in range(t.shape[-1]):
             out = out / t[..., a]
         return out
@@ -311,38 +319,33 @@ def _phase_tilde(params, policy):
     return f
 
 
-def jackson_sum(
-    Wf,
-    wf,
-    params,
-    side="x",
-    cutoff=60,
-    tol=1e-12,
-    policy=DEFAULT_POLICY,
-    points=64,
-    enforce_regime=True,
-):
+# Relative shell size at which the Jackson sums stop (see _shell_sum).
+_JACKSON_TOL = 1e-12
+
+
+def jackson_sum(Wf, wf, params, side="x", cutoff=60):
     """Jackson (multilattice residue) representation of I(W, w).
 
     side="x": (2 pi i)^ell ell! sum over m, s >= 0 of Res at x<(m, s);
-    side="y": (-2 pi i)^ell ell! sum at y>(m, -s).  Shells are |s|_1, summed
-    by _shell_sum, which raises ConvergenceError if the sum has not settled
-    by shell `cutoff`.  The tail estimate is scaled to the returned value.
+    side="y": (-2 pi i)^ell ell! sum at y>(m, -s).  Outside the side's
+    convergence regime it raises ConvergenceError.  Shells are |s|_1, summed
+    by _shell_sum at _JACKSON_TOL, which raises ConvergenceError if the sum
+    has not settled by shell `cutoff`.  The tail estimate is scaled to the
+    returned value.
     """
     ell, n = params.ell, params.n
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
-    if enforce_regime:
-        ratio = abs(params.p * params.kappa / params.xi_prod)
-        lim = min(1.0, abs(params.eta) ** (1 - ell))
-        if side == "x" and ratio >= lim:
-            raise ConvergenceError(f"x-sum regime violated: {ratio:.3g} >= {lim:.3g}")
-        if side == "y":
-            ratio = abs(params.kappa * params.xi_prod)
-            lim = max(1.0, abs(params.eta) ** (ell - 1))
-            if ratio <= lim:
-                raise ConvergenceError(f"y-sum regime violated: {ratio:.3g} <= {lim:.3g}")
-    phit = _phase_tilde(params, policy)
+    ratio = abs(params.p * params.kappa / params.xi_prod)
+    lim = min(1.0, abs(params.eta) ** (1 - ell))
+    if side == "x" and ratio >= lim:
+        raise ConvergenceError(f"x-sum regime violated: {ratio:.3g} >= {lim:.3g}")
+    if side == "y":
+        ratio = abs(params.kappa * params.xi_prod)
+        lim = max(1.0, abs(params.eta) ** (ell - 1))
+        if ratio <= lim:
+            raise ConvergenceError(f"y-sum regime violated: {ratio:.3g} <= {lim:.3g}")
+    phit = _phase_tilde(params)
 
     def integrand(t):
         return phit(t) * np.asarray(wf(t), dtype=np.complex128) * np.asarray(
@@ -356,9 +359,9 @@ def jackson_sum(
             for svec in _shell_vectors(ell, shell):
                 sh = svec if side == "x" else tuple(-v for v in svec)
                 pt = weightfn.special_point(mvec, params, side, sh)
-                yield _residue_at(integrand, pt, params, points)
+                yield _residue_at(integrand, pt, params)
 
-    total, report = _shell_sum(shell_terms, cutoff, tol)
+    total, report = _shell_sum(shell_terms, cutoff, _JACKSON_TOL)
     report["tail_estimate"] *= abs(TWO_PI_I**ell * factorial(ell))
     return sign * TWO_PI_I**ell * factorial(ell) * total, report
 
@@ -376,14 +379,7 @@ def _shell_vectors(ell, total):
 # pairing matrix and determinant right-hand sides
 
 
-def pairing_matrix(
-    params,
-    tau_w=None,
-    tau_W=None,
-    restrict="all",
-    spec=QuadratureSpec(),
-    policy=DEFAULT_POLICY,
-):
+def pairing_matrix(params, restrict="all", spec=QuadratureSpec()):
     """Gram matrix [I(W_l, w_m)] over the canonical index order.
 
     restrict="first_zero"/"last_zero" keeps the rows and columns with
@@ -397,23 +393,19 @@ def pairing_matrix(
         idx = [v for v in idx if v[-1] == 0]
     elif restrict != "all":
         raise ValueError("restrict must be all|first_zero|last_zero")
-    tau_w = tuple(tau_w) if tau_w is not None else tuple(range(n))
-    tau_W = tuple(tau_W) if tau_W is not None else tuple(range(n))
-    Ws = [
-        (lambda t, l=l: weightfn.W_tau(l, t, params, tau_W, "subset", policy)) for l in idx
-    ]
-    ws = [(lambda t, l=l: weightfn.w_tau(l, t, params, tau_w, "subset", policy)) for l in idx]
-    return idx, hyper_I_many(Ws, ws, params, spec, policy)
+    Ws = [(lambda t, l=l: weightfn.W_ell(l, t, params, "subset")) for l in idx]
+    ws = [(lambda t, l=l: weightfn.w_trig(l, t, params, "subset")) for l in idx]
+    return idx, hyper_I_many(Ws, ws, params, spec)
 
 
-def det_rhs(params, kind="mu_gen", policy=DEFAULT_POLICY):
+def det_rhs(params, kind="mu_gen"):
     """Closed form of det [I(W_l, w_m)]: kind mu_gen, or the first/last-zero
     minors mu_plus (kappa = eta^(1-ell) prod xi) / mu_minus (primed value)."""
     p, eta, ka = params.p, params.eta, params.kappa
     xi, z = params.xi, params.z
     n, ell = params.n, params.ell
-    qp = lambda u: qpoch(u, p, policy)
-    th = lambda u: theta(u, p, policy)
+    qp = lambda u: qpoch(u, p)
+    th = lambda u: theta(u, p)
     xiprod = params.xi_prod
 
     if kind == "mu_gen":
@@ -482,27 +474,25 @@ def det_rhs(params, kind="mu_gen", policy=DEFAULT_POLICY):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def closed_rhs(kind, params=None, policy=DEFAULT_POLICY, **kw):
+def closed_rhs(kind, params=None, **kw):
     """Dispatch for the closed product formulas."""
     if kind in ("mu_gen", "mu_plus", "mu_minus"):
-        return det_rhs(params, kind, policy)
+        return det_rhs(params, kind)
     if kind == "qbeta":
-        return qbeta_rhs(kw["a"], kw["b"], kw["c"], kw["x"], kw["p"], kw["ell"], policy)
+        return qbeta_rhs(kw["a"], kw["b"], kw["c"], kw["x"], kw["p"], kw["ell"])
     if kind == "askey_roy":
-        return askey_roy_rhs(kw["a"], kw["b"], kw["c"], kw["alpha"], kw["beta"], kw["p"], policy)
+        return askey_roy_rhs(kw["a"], kw["b"], kw["c"], kw["alpha"], kw["beta"], kw["p"])
     if kind == "arl":
-        return arl_rhs(
-            kw["a"], kw["b"], kw["c"], kw["alpha"], kw["beta"], kw["x"], kw["p"], kw["ell"], policy
-        )
+        return arl_rhs(kw["a"], kw["b"], kw["c"], kw["alpha"], kw["beta"], kw["x"], kw["p"], kw["ell"])
     if kind == "detM":
-        return detM_rhs(params, policy)
+        return detM_rhs(params)
     if kind == "detMq":
-        return detMq_rhs(params, policy)
+        return detMq_rhs(params)
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def qbeta_rhs(a, b, c, x, p, ell, policy=DEFAULT_POLICY):
-    qp = lambda u: qpoch(u, p, policy)
+def qbeta_rhs(a, b, c, x, p, ell):
+    qp = lambda u: qpoch(u, p)
     out = TWO_PI_I**ell * factorial(ell)
     for s in range(ell):
         out *= qp(x) * qp(x**s * b * c) * qp(p * x**s * a / c)
@@ -510,27 +500,27 @@ def qbeta_rhs(a, b, c, x, p, ell, policy=DEFAULT_POLICY):
     return out
 
 
-def qbeta_integrand(a, b, c, x, p, ell, policy=DEFAULT_POLICY):
+def qbeta_integrand(a, b, c, x, p, ell):
     def f(t):
         t = as_points(t)
         out = np.ones(t.shape[:-1], dtype=np.complex128)
         for k in range(ell):
             tk = t[..., k]
-            out *= theta(c * tk, p, policy)
-            out /= tk * qpoch(a * tk, p, policy) * qpoch(b / tk, p, policy)
+            out *= theta(c * tk, p)
+            out /= tk * qpoch(a * tk, p) * qpoch(b / tk, p)
         for jv in range(ell):
             for k in range(ell):
                 if k != jv:
                     r = t[..., jv] / t[..., k]
-                    out *= qpoch(r, p, policy) / qpoch(x * r, p, policy)
+                    out *= qpoch(r, p) / qpoch(x * r, p)
         return out
 
     return f
 
 
-def askey_roy_rhs(a, b, c, alpha, beta, p, policy=DEFAULT_POLICY):
-    qp = lambda u: qpoch(u, p, policy)
-    th = lambda u: theta(u, p, policy)
+def askey_roy_rhs(a, b, c, alpha, beta, p):
+    qp = lambda u: qpoch(u, p)
+    th = lambda u: theta(u, p)
     return (
         TWO_PI_I
         * qp(a * b * alpha * beta)
@@ -540,24 +530,19 @@ def askey_roy_rhs(a, b, c, alpha, beta, p, policy=DEFAULT_POLICY):
     )
 
 
-def askey_roy_integrand(a, b, c, alpha, beta, p, policy=DEFAULT_POLICY):
+def askey_roy_integrand(a, b, c, alpha, beta, p):
     def f(t):
         t = as_points(t)[..., 0]
-        num = theta(p * t / c, p, policy) * theta(a * b * c * t, p, policy)
-        den = (
-            qpoch(a * t, p, policy)
-            * qpoch(b * t, p, policy)
-            * qpoch(alpha / t, p, policy)
-            * qpoch(beta / t, p, policy)
-        )
+        num = theta(p * t / c, p) * theta(a * b * c * t, p)
+        den = qpoch(a * t, p) * qpoch(b * t, p) * qpoch(alpha / t, p) * qpoch(beta / t, p)
         return num / den
 
     return f
 
 
-def arl_rhs(a, b, c, alpha, beta, x, p, ell, policy=DEFAULT_POLICY):
-    qp = lambda u: qpoch(u, p, policy)
-    th = lambda u: theta(u, p, policy)
+def arl_rhs(a, b, c, alpha, beta, x, p, ell):
+    qp = lambda u: qpoch(u, p)
+    th = lambda u: theta(u, p)
     out = TWO_PI_I**ell * factorial(ell)
     for s in range(ell):
         out *= qp(x) * qp(x ** (ell + s - 1) * a * b * alpha * beta)
@@ -573,31 +558,25 @@ def arl_rhs(a, b, c, alpha, beta, x, p, ell, policy=DEFAULT_POLICY):
     return out
 
 
-def arl_integrand(a, b, c, alpha, beta, x, p, ell, policy=DEFAULT_POLICY):
+def arl_integrand(a, b, c, alpha, beta, x, p, ell):
     def f(t):
         t = as_points(t)
         out = np.ones(t.shape[:-1], dtype=np.complex128)
         for k in range(ell):
             tk = t[..., k]
-            out *= theta(p * tk / c, p, policy) * theta(x ** (ell - 1) * a * b * c * tk, p, policy)
-            out /= (
-                tk
-                * qpoch(a * tk, p, policy)
-                * qpoch(b * tk, p, policy)
-                * qpoch(alpha / tk, p, policy)
-                * qpoch(beta / tk, p, policy)
-            )
+            out *= theta(p * tk / c, p) * theta(x ** (ell - 1) * a * b * c * tk, p)
+            out /= tk * qpoch(a * tk, p) * qpoch(b * tk, p) * qpoch(alpha / tk, p) * qpoch(beta / tk, p)
         for jv in range(ell):
             for k in range(ell):
                 if k != jv:
                     r = t[..., jv] / t[..., k]
-                    out *= qpoch(r, p, policy) / qpoch(x * r, p, policy)
+                    out *= qpoch(r, p) / qpoch(x * r, p)
         return out
 
     return f
 
 
-def detM_rhs(params, policy=DEFAULT_POLICY):
+def detM_rhs(params):
     """det M = prod_{s<ell} prod_{l<m} (eta^s z_l - xi_l xi_m z_m)^C(n+ell-s-2, n-1)."""
     n, ell = params.n, params.ell
     out = 1.0 + 0j
@@ -609,14 +588,14 @@ def detM_rhs(params, policy=DEFAULT_POLICY):
     return out
 
 
-def detMq_rhs(params, policy=DEFAULT_POLICY):
+def detMq_rhs(params):
     """Elliptic basis determinant with the constant Xi of the theta basis."""
     n, ell = params.n, params.ell
     p, eta, ka = params.p, params.eta, params.kappa
     xi, z = params.xi, params.z
-    th = lambda u: theta(u, p, policy)
+    th = lambda u: theta(u, p)
     omega = cmath.exp(2j * math.pi / n)
-    Xi = qpoch(p, p, policy) ** (1 - n * n)
+    Xi = qpoch(p, p) ** (1 - n * n)
     for m in range(1, n):
         Xi *= (th(omega**m) / (omega**m - 1)) ** (n - m)
     Xi = Xi ** comb(n + ell - 1, n)
@@ -660,7 +639,14 @@ def _p_lattice_exponent(r, p):
     return s if abs(r / p**s - 1.0) < 1e-9 else None
 
 
-def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40, tol=1e-13, policy=DEFAULT_POLICY):
+# Relative shell size at which the Askey and q-Selberg lattice sums stop, and
+# the last shell of the general Askey and the q-Selberg sums.
+_LATTICE_TOL = 1e-13
+_ASCJ_GENERAL_CUTOFF = 40
+_QSELBERG_CUTOFF = 80
+
+
+def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40):
     """Askey's multidimensional sum: signed two-sided lattice sum vs product.
 
     Same-family lattice pairs make 0/0 pair factors at x = p^m; those are
@@ -668,7 +654,7 @@ def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40, tol=1e-13, policy=DEFAULT_
     (lhs_sum, rhs, report)."""
     if m < 1:
         raise ValueError("m >= 1 (m = 0 degenerates the pair weight)")
-    qp = lambda u: qpoch(u, p, policy)
+    qp = lambda u: qpoch(u, p)
     x = p**m
 
     def v(s):
@@ -697,11 +683,11 @@ def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40, tol=1e-13, policy=DEFAULT_
                 term *= us[k] ** (2 * m * (ell - 1 - k))
             yield term
 
-    total, report = _shell_sum(shell_terms, cutoff, tol)
+    total, report = _shell_sum(shell_terms, cutoff, _LATTICE_TOL)
     rhs = p ** (m * m * comb(ell, 3) - comb(m, 2) * comb(ell, 2))
     for s in range(ell):
         rhs *= qp(p ** (m + 1)) * qp(p ** (m * (ell + s - 1)) * a * b * alpha * beta)
-        rhs *= (-a * b) ** (m * s) * b * theta(a / b, p, policy)
+        rhs *= (-a * b) ** (m * s) * b * theta(a / b, p)
         rhs /= (
             qp(p ** (m * (s + 1) + 1))
             * qp(p ** (m * s) * a * alpha)
@@ -728,10 +714,10 @@ def _signed_shell(ell, total):
                 yield (f,) + rest
 
 
-def ascj_general_sum(a, b, alpha, beta, x, p, ell, cutoff=40, tol=1e-13, policy=DEFAULT_POLICY):
+def ascj_general_sum(a, b, alpha, beta, x, p, ell):
     """The j-decomposed generalization with free x; returns (lhs, rhs, report)."""
-    qp = lambda u: qpoch(u, p, policy)
-    th = lambda u: theta(u, p, policy)
+    qp = lambda u: qpoch(u, p)
+    th = lambda u: theta(u, p)
 
     def Atil(us):
         out = 1.0 + 0j
@@ -764,7 +750,7 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell, cutoff=40, tol=1e-13, policy=
                     term *= th(x ** (j + s) * a / b) / th(x ** (j - s) * a / b)
                 yield term * Atil(us)
 
-    total, report = _shell_sum(shell_terms, cutoff, tol)
+    total, report = _shell_sum(shell_terms, _ASCJ_GENERAL_CUTOFF, _LATTICE_TOL)
     rhs = 1.0 + 0j
     for s in range(ell):
         rhs *= qp(x) * qp(x ** (ell + s - 1) * a * b * alpha * beta) * b * th(x**s * a / b)
@@ -778,11 +764,11 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell, cutoff=40, tol=1e-13, policy=
     return total, rhs, report
 
 
-def qselberg_jackson(alpha, u, x, p, ell, cutoff=80, tol=1e-13, policy=DEFAULT_POLICY):
+def qselberg_jackson(alpha, u, x, p, ell):
     """Jackson-sum form of the q-Selberg integral; returns (lhs, rhs, report)."""
     if abs(u) >= min(1.0, abs(x) ** (ell - 1)):
         raise ConvergenceError("need |u| < min(1, |x|^(ell-1))")
-    qp = lambda v: qpoch(v, p, policy)
+    qp = lambda v: qpoch(v, p)
 
     def S(ts):
         out = 1.0 + 0j
@@ -805,7 +791,7 @@ def qselberg_jackson(alpha, u, x, p, ell, cutoff=80, tol=1e-13, policy=DEFAULT_P
             expo_x = -sum((i - 1) * (ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
             yield u**expo_u * x**expo_x * S(ts)
 
-    total, report = _shell_sum(shell_terms, cutoff, tol)
+    total, report = _shell_sum(shell_terms, _QSELBERG_CUTOFF, _LATTICE_TOL)
     rhs = 1.0 + 0j
     for s in range(ell):
         rhs *= qp(x) * qp(x**s * alpha * u) * qp(p)
@@ -813,10 +799,10 @@ def qselberg_jackson(alpha, u, x, p, ell, cutoff=80, tol=1e-13, policy=DEFAULT_P
     return total, rhs, report
 
 
-def qselberg_X_ratio(k, a, b, c, x, p, ell, spec=QuadratureSpec(), policy=DEFAULT_POLICY):
+def qselberg_X_ratio(k, a, b, c, x, p, ell, spec=QuadratureSpec()):
     """X_k / X_(k-1) via torus integrals of t_1..t_k F(t) d^ell t, plus the
     closed recurrence ratio."""
-    base = qbeta_integrand(a, b, c, x, p, ell, policy)
+    base = qbeta_integrand(a, b, c, x, p, ell)
 
     def mono(j):
         def f(t):
@@ -843,7 +829,7 @@ def qselberg_X_ratio(k, a, b, c, x, p, ell, spec=QuadratureSpec(), policy=DEFAUL
 # Shapovalov pairings
 
 
-def omega_elliptic(params, policy=DEFAULT_POLICY):
+def omega_elliptic(params):
     p, eta = params.p, params.eta
 
     def f(t):
@@ -854,11 +840,11 @@ def omega_elliptic(params, policy=DEFAULT_POLICY):
             out /= t[..., a]
             for m in range(params.n):
                 r = t[..., a] / params.z[m]
-                out *= theta_ratio(r / params.xi[m], params.xi[m] * r, p, policy)
+                out *= theta_ratio(r / params.xi[m], params.xi[m] * r, p)
         for a in range(ell):
             for b in range(a + 1, ell):
                 r = t[..., a] / t[..., b]
-                out *= theta_ratio(eta * r, r / eta, p, policy) / eta
+                out *= theta_ratio(eta * r, r / eta, p) / eta
         return out
 
     return f
@@ -884,10 +870,9 @@ def omega_trig(params):
     return f
 
 
-def shapovalov(flavor, f1, f2, params, side="x", points=64, policy=DEFAULT_POLICY):
-    """Shapovalov pairing: sum over m of Res(Omega f1 f2) at x<m (or y>m,
-    with the (-1)^ell sign)."""
-    om = omega_elliptic(params, policy) if flavor == "elliptic" else omega_trig(params)
+def shapovalov(flavor, f1, f2, params):
+    """Shapovalov pairing: sum over m of Res(Omega f1 f2) at x<m."""
+    om = omega_elliptic(params) if flavor == "elliptic" else omega_trig(params)
 
     def integrand(t):
         return (
@@ -896,11 +881,11 @@ def shapovalov(flavor, f1, f2, params, side="x", points=64, policy=DEFAULT_POLIC
             * np.asarray(f2(t), dtype=np.complex128)
         )
 
-    return _special_residue_sum(integrand, params, side, points)
+    return _special_residue_sum(integrand, params, "x")
 
 
-def residue_balance_check(f, params, points=64):
+def residue_balance_check(f, params):
     """x-side residue sum, y-side residue sum, and their signed difference."""
-    xs = _special_residue_sum(f, params, "x", points)
-    ys = _special_residue_sum(f, params, "y", points)
+    xs = _special_residue_sum(f, params, "x")
+    ys = _special_residue_sum(f, params, "y")
     return {"x_sum": xs, "y_sum_signed": ys, "difference": xs - ys}

@@ -43,6 +43,9 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
+# Relative distance from a pole at which a node is refused: the scalar
+# phase-function guard here and the quadrature-torus guard in integrate.
+POLE_GUARD = 1e-8
 
 
 def _umax(u):
@@ -50,23 +53,23 @@ def _umax(u):
     return float(a.max()) if a.size else 1.0
 
 
-def qpoch(u, p, policy=DEFAULT_POLICY):
-    """(u; p)_infinity, truncated per policy.  Accepts scalars or arrays."""
+def qpoch(u, p):
+    """(u; p)_infinity, truncated per DEFAULT_POLICY.  Accepts scalars or arrays."""
     if abs(p) >= 1.0:
         raise DomainError(f"|p| = {abs(p)} >= 1")
-    n = policy.nterms(p, _umax(u))
+    n = DEFAULT_POLICY.nterms(p, _umax(u))
     out = qpoch_array(np.asarray(u, dtype=np.complex128), p, n)
     if np.isscalar(u) or np.ndim(u) == 0:
         return complex(out)
     return out
 
 
-def pp_inf(p, policy=DEFAULT_POLICY):
+def pp_inf(p):
     """(p; p)_infinity."""
-    return complex(qpoch(p, p, policy))
+    return complex(qpoch(p, p))
 
 
-def theta(u, p, policy=DEFAULT_POLICY):
+def theta(u, p):
     """Jacobi theta function theta(u) = (u)_inf (p/u)_inf (p)_inf."""
     if abs(p) >= 1.0:
         raise DomainError(f"|p| = {abs(p)} >= 1")
@@ -74,40 +77,40 @@ def theta(u, p, policy=DEFAULT_POLICY):
     if np.any(arr == 0):
         raise DomainError("theta(0) is an essential singularity")
     umax = max(_umax(arr), _umax(p / arr))
-    n = policy.nterms(p, umax)
-    out = theta_array(arr, p, n, pp_inf(p, policy))
+    n = DEFAULT_POLICY.nterms(p, umax)
+    out = theta_array(arr, p, n, pp_inf(p))
     if np.isscalar(u) or np.ndim(u) == 0:
         return complex(out)
     return out
 
 
-def theta_prime_one(p, policy=DEFAULT_POLICY):
+def theta_prime_one(p):
     """d theta / du at u = 1, equal to -((p;p)_inf)^3."""
-    return -pp_inf(p, policy) ** 3
+    return -pp_inf(p) ** 3
 
 
-def qpoch_ratio(a, b, p, policy=DEFAULT_POLICY):
+def qpoch_ratio(a, b, p):
     """(a;p)_inf / (b;p)_inf with termwise pairing; stays finite for huge
     arguments of comparable size (the single products may overflow)."""
     if abs(p) >= 1.0:
         raise DomainError(f"|p| = {abs(p)} >= 1")
     aa = np.asarray(a, dtype=np.complex128)
     bb = np.asarray(b, dtype=np.complex128)
-    n = policy.nterms(p, max(_umax(aa), _umax(bb)))
+    n = DEFAULT_POLICY.nterms(p, max(_umax(aa), _umax(bb)))
     out = qpoch_ratio_array(aa, bb, p, n)
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return complex(out)
     return out
 
 
-def theta_ratio(a, b, p, policy=DEFAULT_POLICY):
+def theta_ratio(a, b, p):
     """theta(a) / theta(b), overflow-safe through paired Pochhammer ratios."""
-    return qpoch_ratio(a, b, p, policy) * qpoch_ratio(
-        p / np.asarray(a, dtype=np.complex128), p / np.asarray(b, dtype=np.complex128), p, policy
+    return qpoch_ratio(a, b, p) * qpoch_ratio(
+        p / np.asarray(a, dtype=np.complex128), p / np.asarray(b, dtype=np.complex128), p
     )
 
 
-def phase_phi(t, params, policy=DEFAULT_POLICY, guard=1e-8):
+def phase_phi(t, params):
     """Short phase function Phi(t, z).
 
     Phi = prod_{m,a} (xi_m^-1 t_a/z_m)_inf / (xi_m t_a/z_m)_inf
@@ -131,28 +134,28 @@ def phase_phi(t, params, policy=DEFAULT_POLICY, guard=1e-8):
             num = ts[..., a] / (xi_m * z_m)
             den = xi_m * ts[..., a] / z_m
             if single:
-                _guard_qpoch_pole(complex(den.reshape(-1)[0]), p, guard, policy)
-            out *= qpoch_ratio(num, den, p, policy)
+                _guard_qpoch_pole(complex(den.reshape(-1)[0]), p)
+            out *= qpoch_ratio(num, den, p)
     for a in range(ell):
         for b in range(a + 1, ell):
             r = ts[..., a] / ts[..., b]
             if single:
-                _guard_qpoch_pole(complex(r.reshape(-1)[0] / eta), p, guard, policy)
-            out *= qpoch_ratio(eta * r, r / eta, p, policy)
+                _guard_qpoch_pole(complex(r.reshape(-1)[0] / eta), p)
+            out *= qpoch_ratio(eta * r, r / eta, p)
     return complex(out[0]) if single else out
 
 
-def _guard_qpoch_pole(v, p, guard, policy):
+def _guard_qpoch_pole(v, p):
     # 1/(v;p)_inf has poles at v = p^{-k}, k >= 0
-    n = policy.nterms(p, abs(v))
+    n = DEFAULT_POLICY.nterms(p, abs(v))
     w = v
     for _ in range(n):
-        if abs(1.0 - w) < guard:
-            raise PoleProximityError(f"argument {v} within {guard} of a pole")
+        if abs(1.0 - w) < POLE_GUARD:
+            raise PoleProximityError(f"argument {v} within {POLE_GUARD} of a pole")
         w *= p
 
 
-def p_gamma_sin(x, p, kind, extra=None, policy=DEFAULT_POLICY):
+def p_gamma_sin(x, p, kind, extra=None):
     """p-analogues: Gamma_p(x), sin_p(pi x), or the power (1-u)_p^{2x}.
 
     kind="gamma":  (1-p)^(1-x) (p)_inf / (p^x)_inf
@@ -164,27 +167,27 @@ def p_gamma_sin(x, p, kind, extra=None, policy=DEFAULT_POLICY):
     lp = cmath.log(p)
     if kind == "gamma":
         px = cmath.exp(x * lp)
-        den = qpoch(px, p, policy)
+        den = qpoch(px, p)
         if abs(den) < 1e-280:
             raise PoleProximityError("Gamma_p pole: (p^x)_inf vanishes")
-        return cmath.exp((1 - x) * cmath.log(1 - p)) * pp_inf(p, policy) / den
+        return cmath.exp((1 - x) * cmath.log(1 - p)) * pp_inf(p) / den
     if kind == "sin":
-        return math.pi * theta(cmath.exp(x * lp), p, policy) / ((1 - p) * pp_inf(p, policy) ** 3)
+        return math.pi * theta(cmath.exp(x * lp), p) / ((1 - p) * pp_inf(p) ** 3)
     if kind == "power":
         if extra is None:
             raise ValueError("kind='power' needs extra=u")
         u = extra
-        den = qpoch(cmath.exp(x * lp) * u, p, policy)
+        den = qpoch(cmath.exp(x * lp) * u, p)
         if abs(den) < 1e-280:
             raise PoleProximityError("(1-u)_p^{2x} pole")
-        return qpoch(cmath.exp(-x * lp) * u, p, policy) / den
+        return qpoch(cmath.exp(-x * lp) * u, p) / den
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def p_power_bracket(u, x, p, policy=DEFAULT_POLICY):
+def p_power_bracket(u, x, p):
     """Theta-quotient power [-u]_p^{2x} = theta(p^-x u) / theta(p^x u)."""
     lp = cmath.log(p)
-    return theta(cmath.exp(-x * lp) * u, p, policy) / theta(cmath.exp(x * lp) * u, p, policy)
+    return theta(cmath.exp(-x * lp) * u, p) / theta(cmath.exp(x * lp) * u, p)
 
 
 # ---------------------------------------------------------------------------
@@ -272,31 +275,31 @@ class ParameterSet:
 
     # -- genericity margins -------------------------------------------------
 
-    def margins(self, smax=40):
+    def margins(self):
         """Smallest multiplicative distances of the three resonance families
-        (npZ), (Lass), (assum) from the forbidden set p^s eta^r."""
+        (npZ), (Lass), (assum) from the forbidden set p^s eta^r, |s| <= _MARGIN_SMAX."""
         return {
-            "npZ": self._margin_npZ(smax),
-            "Lass": self._margin_family([x * x for x in self.xi], smax),
-            "assum": self._margin_assum(smax),
+            "npZ": self._margin_npZ(),
+            "Lass": self._margin_family([x * x for x in self.xi]),
+            "assum": self._margin_assum(),
         }
 
-    def _margin_npZ(self, smax):
+    def _margin_npZ(self):
         best = math.inf
         for r in range(1, max(self.ell, 1) + 1):
             v = self.eta**r
-            best = min(best, _dist_to_p_powers(v, self.p, smax))
+            best = min(best, _dist_to_p_powers(v, self.p))
         return best
 
-    def _margin_family(self, values, smax):
+    def _margin_family(self, values):
         best = math.inf
         rs = range(1 - self.ell, self.ell) if self.ell > 0 else range(0, 1)
         for v in values:
             for r in rs:
-                best = min(best, _dist_to_p_powers(v * self.eta**-r, self.p, smax))
+                best = min(best, _dist_to_p_powers(v * self.eta**-r, self.p))
         return best
 
-    def _margin_assum(self, smax):
+    def _margin_assum(self):
         vals = []
         for l in range(self.n):
             for m in range(self.n):
@@ -306,24 +309,28 @@ class ParameterSet:
                 for sl in (1, -1):
                     for sm in (1, -1):
                         vals.append(self.xi[l] ** sl * self.xi[m] ** sm * zr)
-        return self._margin_family(vals, smax) if vals else math.inf
+        return self._margin_family(vals) if vals else math.inf
 
 
-def _dist_to_p_powers(v, p, smax):
-    """min over s in [-smax, smax] of |v / p^s - 1|."""
+# p-shells |s| <= _MARGIN_SMAX searched by the genericity margins
+_MARGIN_SMAX = 40
+
+
+def _dist_to_p_powers(v, p):
+    """min over s in [-_MARGIN_SMAX, _MARGIN_SMAX] of |v / p^s - 1|."""
     ap, av = abs(p), abs(v)
     best = math.inf
     # only |p|^s of comparable modulus can be close
     if av <= 0:
         return best
     s0 = round(math.log(av) / math.log(ap)) if ap not in (0.0,) else 0
-    for s in range(max(-smax, s0 - 2), min(smax, s0 + 2) + 1):
+    for s in range(max(-_MARGIN_SMAX, s0 - 2), min(_MARGIN_SMAX, s0 + 2) + 1):
         best = min(best, abs(v / p**s - 1.0))
     return best
 
 
-def assert_admissible(params, delta=0.05, smax=40):
-    m = params.margins(smax)
+def assert_admissible(params, delta=0.05):
+    m = params.margins()
     bad = [k for k, v in m.items() if v < delta]
     if bad:
         raise ResonanceError(f"margins below {delta}: " + ", ".join(f"{k}={m[k]:.3g}" for k in bad))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import combin
 from .errors import ResonanceError
-from .numkernel import DEFAULT_POLICY, theta, qpoch
+from .numkernel import theta, qpoch
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def _trig_R_spectral(L1, L2, x, q, w):
     return _r_infinity(L1, L2, q, w) @ B @ D @ np.linalg.inv(B)
 
 
-def perm_matrix(ell, depth1=None, depth2=None):
+def perm_matrix(ell):
     """Permutation map P: V1 x V2 -> V2 x V1 on the pair block ell.
 
     Row basis is indexed by (k2', k1') of V2 x V1.
@@ -285,7 +285,7 @@ def embed_pair_op(block_fn, i, j, Lams, ell):
     return M
 
 
-def qkz_K(m, Lams, q, z, p, Ks, ell, method="linear_solve"):
+def qkz_K(m, Lams, q, z, p, Ks, ell):
     """qKZ operator K_m(z) on the weight-ell block of V_1 x ... x V_n.
 
     K_m = R_{m,m-1}(p z_m/z_{m-1}) .. R_{m,1}(p z_m/z_1) Ks^(Lam_m - H_m)
@@ -298,7 +298,7 @@ def qkz_K(m, Lams, q, z, p, Ks, ell, method="linear_solve"):
 
     def rfac(j, arg):
         return embed_pair_op(
-            lambda w, a=arg, Lj=Lams[j]: trig_R_block(Lams[m], Lj, a, q, w, method),
+            lambda w, a=arg, Lj=Lams[j]: trig_R_block(Lams[m], Lj, a, q, w),
             m, j, Lams, ell,
         )
 
@@ -312,14 +312,14 @@ def qkz_K(m, Lams, q, z, p, Ks, ell, method="linear_solve"):
     return M
 
 
-def ybe_residual_trig(L1, L2, L3, x, y, q, max_weight, method="linear_solve"):
+def ybe_residual_trig(L1, L2, L3, x, y, q, max_weight):
     """Relative residual of R12(x/y) R13(x) R23(y) = R23(y) R13(x) R12(x/y)."""
     Lams = (L1, L2, L3)
     worst = 0.0
     for ell in range(max_weight + 1):
         def emb(i, j, arg):
             return embed_pair_op(
-                lambda w: trig_R_block(Lams[i], Lams[j], arg, q, w, method),
+                lambda w: trig_R_block(Lams[i], Lams[j], arg, q, w),
                 i, j, Lams, ell,
             )
 
@@ -335,9 +335,9 @@ def ybe_residual_trig(L1, L2, L3, x, y, q, max_weight, method="linear_solve"):
 # elliptic evaluation modules
 
 
-def ell_T(ij, u, lam, Lam, x, eta, p, depth, policy=DEFAULT_POLICY):
+def ell_T(ij, u, lam, Lam, x, eta, p, depth):
     """Matrix of T_ij(u, lambda) on the evaluation Verma basis v[0..depth]."""
-    th = lambda v: theta(v, p, policy)
+    th = lambda v: theta(v, p)
     xiL = cmath.exp(Lam * cmath.log(eta))  # eta^Lam
     d = depth + 1
     M = np.zeros((d, d), dtype=np.complex128)
@@ -366,7 +366,7 @@ def ell_T(ij, u, lam, Lam, x, eta, p, depth, policy=DEFAULT_POLICY):
     return M
 
 
-def ell_coproduct_action(ij, u, lam, mods, eta, p, depth, policy=DEFAULT_POLICY):
+def ell_coproduct_action(ij, u, lam, mods, eta, p, depth):
     """Matrix of Delta^ell T_ij on (V^L1(x1) x V^L2(x2)) truncated at F-depth.
 
     Basis: [(k1, k2) for k1 <= depth, k2 <= depth], lexicographic; the
@@ -379,7 +379,7 @@ def ell_coproduct_action(ij, u, lam, mods, eta, p, depth, policy=DEFAULT_POLICY)
     d = len(basis)
     M = np.zeros((d, d), dtype=np.complex128)
     i, j = ij
-    T1 = {k: ell_T((k, j), u, lam, L1, x1, eta, p, depth, policy) for k in (1, 2)}
+    T1 = {k: ell_T((k, j), u, lam, L1, x1, eta, p, depth) for k in (1, 2)}
     # (T_kj x 1) acts first, then (1 x T_ik(u, eta^(2 H x 1) lam))
     for col, (k1, k2) in enumerate(basis):
         for k in (1, 2):
@@ -390,7 +390,7 @@ def ell_coproduct_action(ij, u, lam, mods, eta, p, depth, policy=DEFAULT_POLICY)
                     continue
                 mu1 = L1 - k1p
                 lam2 = lam * cmath.exp(2 * mu1 * cmath.log(eta))
-                Tik = ell_T((i, k), u, lam2, L2, x2, eta, p, depth, policy)
+                Tik = ell_T((i, k), u, lam2, L2, x2, eta, p, depth)
                 for k2p in range(depth + 1):
                     c2 = Tik[k2p, k2]
                     if c2 != 0:
@@ -398,9 +398,9 @@ def ell_coproduct_action(ij, u, lam, mods, eta, p, depth, policy=DEFAULT_POLICY)
     return basis, M
 
 
-def fundamental_R(x, lam, eta, p, policy=DEFAULT_POLICY):
+def fundamental_R(x, lam, eta, p):
     """The 4x4 dynamical R-matrix on C^2 x C^2 (spin-1/2 weights +-1/2)."""
-    th = lambda v: theta(v, p, policy)
+    th = lambda v: theta(v, p)
 
     def alpha(xx, ll):
         return eta * th(xx) * th(ll / eta) / (th(eta * xx) * th(ll))
@@ -511,11 +511,11 @@ def rpr_truncated_product(coeffs, u, p, S):
     return DLinvS @ M @ DRinvS * u ** (-S) * p ** (S * (S + 1) / 2.0)
 
 
-def rpr_middle_matrix(coeffs, u, p, policy=DEFAULT_POLICY):
+def rpr_middle_matrix(coeffs, u, p):
     """The central theta/Pochhammer 2x2 of the closed form (the unitriangular
     prefactors stripped); its diagonal-gauge class matches the weight-1 block
     of the dynamical elliptic R-matrix."""
-    CF = rpr_closed_form(coeffs, u, p, policy)
+    CF = rpr_closed_form(coeffs, u, p)
     a, b, c, d, alpha, delta = coeffs
     UL = np.array([[1.0, 0.0], [c / (a - d), 1.0]], dtype=np.complex128)
     UR = np.array([[1.0, b / (delta - alpha)], [0.0, 1.0]], dtype=np.complex128)
@@ -527,7 +527,7 @@ def cross_ratio(M):
     return (M[0, 0] * M[1, 1]) / (M[0, 1] * M[1, 0])
 
 
-def rpr_closed_form(coeffs, u, p, policy=DEFAULT_POLICY):
+def rpr_closed_form(coeffs, u, p):
     """Closed-form limit of the regularized product: theta/Pochhammer 2x2."""
     a, b, c, d, alpha, delta = coeffs
     # roots of det A(u) = (a - alpha u)(d - delta u) - b c u
@@ -537,8 +537,8 @@ def rpr_closed_form(coeffs, u, p, policy=DEFAULT_POLICY):
     disc = cmath.sqrt(A1 * A1 - 4 * A2 * A0)
     lam = (-A1 + disc) / (2 * A2)
     mu = (-A1 - disc) / (2 * A2)
-    qp = lambda v: qpoch(v, p, policy)
-    th = lambda v: theta(v, p, policy)
+    qp = lambda v: qpoch(v, p)
+    th = lambda v: theta(v, p)
     pp = qp(p)
     M = np.array(
         [

@@ -10,33 +10,43 @@ solution components are Jackson residue sums of the hypergeometric pairing
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from . import combin, integrate, repthy, weightfn
 from .errors import ResonanceError
-from .numkernel import DEFAULT_POLICY
+from .numkernel import ParameterSet
+
+# Modulus band of the interpolation nodes.
+_NODE_BAND = (0.9, 1.1)
+# A sampled basis system is accepted below this condition number; an
+# ill-conditioned one is redrawn once with the seed moved by 17.
+_COND_CAP = 1e8
+_RETRIES = 1
+# Node seed of detM_numeric's fit.
+_DETM_SEED = 3
 
 
-def sample_nodes(seed, ell, count, radii=(0.9, 1.1)):
-    """Deterministic generic t-points in C^ell on the given modulus band."""
+def sample_nodes(seed, ell, count):
+    """Deterministic generic t-points in C^ell on the modulus band _NODE_BAND."""
     rng = np.random.default_rng(seed)
     pts = np.empty((count, ell), dtype=np.complex128)
     for i in range(count):
-        r = rng.uniform(radii[0], radii[1], size=ell)
+        r = rng.uniform(_NODE_BAND[0], _NODE_BAND[1], size=ell)
         th = rng.uniform(0.0, 2.0 * math.pi, size=ell)
         pts[i] = r * np.exp(1j * th)
     return pts
 
 
-def expand_in_basis(targets, basis, ell, seed=1, cond_cap=1e8, retries=1):
+def expand_in_basis(targets, basis, ell, seed=1):
     """Coefficients X with target_j = sum_m X[m, j] basis_m, by sampling at
     dim generic points and solving the square system."""
     dim = len(basis)
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         nodes = sample_nodes(seed + 17 * attempt, ell, dim)
         B = np.array([[f(nodes[i : i + 1])[0] for f in basis] for i in range(dim)])
-        if np.linalg.cond(B) < cond_cap:
+        if np.linalg.cond(B) < _COND_CAP:
             break
     else:
         raise ResonanceError("ill-conditioned basis sample system")
@@ -44,7 +54,7 @@ def expand_in_basis(targets, basis, ell, seed=1, cond_cap=1e8, retries=1):
     return np.linalg.solve(B, T)
 
 
-def tensor_coordinates(flavor, tau, params, policy=DEFAULT_POLICY):
+def tensor_coordinates(flavor, tau, params):
     """Coefficient data of the tensor coordinates.
 
     flavor="B": list of (b_l, w^tau_l field); flavor="C": (c^tau_l, W^tau_l
@@ -56,23 +66,21 @@ def tensor_coordinates(flavor, tau, params, policy=DEFAULT_POLICY):
     for l in combin.index_vectors(n, ell):
         if flavor == "B":
             coeff = weightfn.b_coeff(l, params)
-            fld = (lambda t, l=l: weightfn.w_tau(l, t, params, tau, "subset", policy))
+            fld = (lambda t, l=l: weightfn.w_tau(l, t, params, tau, "subset"))
         elif flavor == "C":
-            coeff = weightfn.c_coeff(
-                combin.permute_index(l, tau), params.permuted(tau), policy
-            )
-            fld = (lambda t, l=l: weightfn.W_tau(l, t, params, tau, "subset", policy))
+            coeff = weightfn.c_coeff(combin.permute_index(l, tau), params.permuted(tau))
+            fld = (lambda t, l=l: weightfn.W_tau(l, t, params, tau, "subset"))
         else:
             raise ValueError("flavor must be 'B' or 'C'")
         out.append((coeff, fld))
     return out
 
 
-def transition_matrix(flavor, tau, tau_p, params, seed=1, policy=DEFAULT_POLICY):
+def transition_matrix(flavor, tau, tau_p, params, seed=1):
     """Matrix of B_{tau,tau'} (or C_{tau,tau'}) on monomial coordinates:
     image of the tau'-basis vector l has m-component [M]_{m,l}."""
-    coords = tensor_coordinates(flavor, tau, params, policy)
-    coords_p = tensor_coordinates(flavor, tau_p, params, policy)
+    coords = tensor_coordinates(flavor, tau, params)
+    coords_p = tensor_coordinates(flavor, tau_p, params)
     basis = [f for _, f in coords]
     targets = [f for _, f in coords_p]
     X = expand_in_basis(targets, basis, params.ell, seed=seed)
@@ -81,18 +89,18 @@ def transition_matrix(flavor, tau, tau_p, params, seed=1, policy=DEFAULT_POLICY)
     return X * cp[None, :] / cm[:, None]
 
 
-def detM_numeric(params, flavor="trig", seed=3, policy=DEFAULT_POLICY):
+def detM_numeric(params, flavor="trig"):
     """Determinant of the basis-change matrix from the weight family to the
     auxiliary polynomial (g) or theta (G) family, assembled by sampling."""
     n, ell = params.n, params.ell
     idx = combin.index_vectors(n, ell)
     if flavor == "trig":
-        basis = [(lambda t, l=l: weightfn.basis_aux("g", l, t, params, policy)) for l in idx]
-        targets = [(lambda t, l=l: weightfn.w_trig(l, t, params, "subset", policy)) for l in idx]
+        basis = [(lambda t, l=l: weightfn.basis_aux("g", l, t, params)) for l in idx]
+        targets = [(lambda t, l=l: weightfn.w_trig(l, t, params, "subset")) for l in idx]
     else:
-        basis = [(lambda t, l=l: weightfn.basis_aux("G", l, t, params, policy)) for l in idx]
-        targets = [(lambda t, l=l: weightfn.W_ell(l, t, params, "subset", policy)) for l in idx]
-    X = expand_in_basis(targets, basis, ell, seed=seed)
+        basis = [(lambda t, l=l: weightfn.basis_aux("G", l, t, params)) for l in idx]
+        targets = [(lambda t, l=l: weightfn.W_ell(l, t, params, "subset")) for l in idx]
+    X = expand_in_basis(targets, basis, ell, seed=_DETM_SEED)
     # X[m, l] holds the g_m coefficient of w_l; det is order-insensitive
     return np.linalg.det(X.T)
 
@@ -101,7 +109,7 @@ def detM_numeric(params, flavor="trig", seed=3, policy=DEFAULT_POLICY):
 # the dynamical elliptic R-matrix from transition matrices
 
 
-def ell_R_from_transition(L1, L2, x, lam, ell_max, p, eta, seed=5, z1=None, policy=DEFAULT_POLICY):
+def ell_R_from_transition(L1, L2, x, lam, ell_max, p, eta, seed=5, z1=None):
     """Blocks of the dynamical elliptic R-matrix R^ell_{V^L1 V^L2}(x, lam),
     one per total weight w <= ell_max, from the elliptic transition matrices.
 
@@ -112,8 +120,6 @@ def ell_R_from_transition(L1, L2, x, lam, ell_max, p, eta, seed=5, z1=None, poli
     eta-rescaling of lam that the dynamical Yang-Baxter equation and the
     inversion relation cannot see).
     """
-    from .numkernel import ParameterSet
-
     le = cmath.log(eta)
     xi1 = cmath.exp(L1 * le)
     xi2 = cmath.exp(L2 * le)
@@ -126,7 +132,7 @@ def ell_R_from_transition(L1, L2, x, lam, ell_max, p, eta, seed=5, z1=None, poli
         # monomial coordinates are degrees on the modules, so the adjacent
         # transition IS the R-matrix block (the permutation is the
         # tautological slot relabeling)
-        blocks.append(transition_matrix("C", (1, 0), (0, 1), prm, seed=seed, policy=policy))
+        blocks.append(transition_matrix("C", (1, 0), (0, 1), prm, seed=seed))
     return blocks
 
 
@@ -135,16 +141,15 @@ def lambda_from_kappa(kappa, w, xi1, xi2, eta):
     return kappa * eta**w / (xi1 * xi2)
 
 
-def ell_R_evaluator(L1, L2, p, eta, seed=5, policy=DEFAULT_POLICY, cache=None):
-    """Callable (x, lam, w) -> weight-w block of R^ell_{V^L1 V^L2}(x, lam)."""
-    store = {} if cache is None else cache
+def ell_R_evaluator(L1, L2, p, eta):
+    """Callable (x, lam, w) -> weight-w block of R^ell_{V^L1 V^L2}(x, lam),
+    memoized per evaluator."""
+    store = {}
 
     def ev(x, lam, w):
         key = (complex(x), complex(lam), int(w))
         if key not in store:
-            store[key] = ell_R_from_transition(
-                L1, L2, x, lam, w, p, eta, seed=seed, policy=policy
-            )[w]
+            store[key] = ell_R_from_transition(L1, L2, x, lam, w, p, eta)[w]
         return store[key]
 
     return ev
@@ -154,92 +159,84 @@ def ell_R_evaluator(L1, L2, p, eta, seed=5, policy=DEFAULT_POLICY, cache=None):
 # hypergeometric solutions of the qKZ equation
 
 
-def psi_solution(
-    l_index,
-    tau,
-    params,
-    anchors=None,
-    method="jackson",
-    spec=None,
-    cutoff=60,
-    policy=DEFAULT_POLICY,
-):
+def psi_solution(l_index, tau, params, method="jackson", spec=integrate.QuadratureSpec()):
     """Components of the solution section Psi^tau built from Y_l W^tau_l.
 
     Returns the coordinate vector over index_vectors(n, ell): component m is
     b_m Y^tau_l(z^(tau^-1)) I(W_(tau l), w_(tau m)) evaluated with the
-    xi-permuted parameter set at the unpermuted z.
+    xi-permuted parameter set at the unpermuted z.  method="jackson" sums
+    the x-side Jackson series; method="quadrature" integrates on the torus
+    with `spec`.
     """
     n, ell = params.n, params.ell
     tau = tuple(tau)
     pp = params.with_xi_permuted(tau)
     lt = combin.permute_index(l_index, tau)
-    Y, _ = weightfn.adjusting_factor(lt, pp, anchors=anchors, policy=policy)
+    Y, _ = weightfn.adjusting_factor(lt, pp)
     sigma = combin.perm_inverse(tau)
     z_inv = tuple(params.z[i] for i in sigma)
     yval = Y(z_inv)
-    Wf = lambda t: weightfn.W_ell(lt, t, pp, "subset", policy)
+    Wf = lambda t: weightfn.W_ell(lt, t, pp, "subset")
     out = []
     for mv in combin.index_vectors(n, ell):
         mt = combin.permute_index(mv, tau)
-        wfn = lambda t: weightfn.w_trig(mt, t, pp, "subset", policy)
+        wfn = lambda t: weightfn.w_trig(mt, t, pp, "subset")
         if method == "jackson":
-            val, _ = integrate.jackson_sum(Wf, wfn, pp, side="x", cutoff=cutoff, policy=policy)
+            val, _ = integrate.jackson_sum(Wf, wfn, pp, side="x")
         elif method == "quadrature":
-            sp = spec if spec is not None else integrate.QuadratureSpec(128, None)
-            val = integrate.hyper_I(Wf, wfn, pp, sp, policy)
+            val = integrate.hyper_I(Wf, wfn, pp, spec)
         else:
             raise ValueError("method must be 'jackson' or 'quadrature'")
         out.append(weightfn.b_coeff(mv, params) * yval * val)
     return np.asarray(out, dtype=np.complex128)
 
 
-def qkz_residual(l_index, params, anchors=None, cutoff=60, policy=DEFAULT_POLICY):
+def qkz_residual(l_index, params):
     """Relative residual of Psi(.., p z_m, ..) = K_m(z) Psi(z) with Ks = kappa,
     for the identity ordering; returns the worst residual over m."""
     n, ell = params.n, params.ell
     q = params.q
     Lams = params.Lambda
     tau = tuple(range(n))
-    psi0 = psi_solution(l_index, tau, params, anchors, "jackson", cutoff=cutoff, policy=policy)
+    psi0 = psi_solution(l_index, tau, params)
     worst = 0.0
     for m in range(n):
         shifted = params.shift_z(m)
-        psi_m = psi_solution(l_index, tau, shifted, anchors, "jackson", cutoff=cutoff, policy=policy)
+        psi_m = psi_solution(l_index, tau, shifted)
         K = repthy.qkz_K(m, Lams, q, params.z, params.p, params.kappa, ell)
         resid = np.linalg.norm(psi_m - K @ psi0) / max(np.linalg.norm(psi_m), 1e-300)
         worst = max(worst, resid)
     return worst
 
 
-def singular_residual(l_index, params, anchors=None, cutoff=60, policy=DEFAULT_POLICY):
+def singular_residual(l_index, params):
     """|E Psi| / |Psi| at kappa = eta^(1-ell) prod xi (singular-subspace values)."""
     n, ell = params.n, params.ell
     specs = tuple(repthy.VermaSpec(L, ell + 1) for L in params.Lambda)
-    psi0 = psi_solution(l_index, tuple(range(n)), params, anchors, "jackson", cutoff=cutoff, policy=policy)
+    psi0 = psi_solution(l_index, tuple(range(n)), params)
     E = repthy.op_E(specs, ell, params.q)
     return np.linalg.norm(E @ psi0) / max(np.linalg.norm(psi0), 1e-300)
 
 
-def mono_functoriality_residual(l_index, params, anchors=None, cutoff=60, policy=DEFAULT_POLICY):
+def mono_functoriality_residual(l_index, params):
     """Residual of the solution functoriality at the adjacent swap (n = 2):
     Psi^swap(z) = R_{V1 V2}(z_2/z_1) Psi^id_W(z_swap), both sides built from
     the same global element Y W^swap_l."""
     if params.n != 2:
         raise ValueError("adjacent-swap functoriality test is n = 2 only")
     swap = (1, 0)
-    lhs = psi_solution(l_index, swap, params, anchors, "jackson", cutoff=cutoff, policy=policy)
+    lhs = psi_solution(l_index, swap, params)
     pp = params.with_xi_permuted(swap)
     lt = combin.permute_index(l_index, swap)
-    Y, _ = weightfn.adjusting_factor(lt, pp, anchors=anchors, policy=policy)
+    Y, _ = weightfn.adjusting_factor(lt, pp)
     zs = (params.z[1], params.z[0])
     yval = Y(zs)
-    Wf = lambda t: weightfn.W_ell(lt, t, pp, "subset", policy)
+    Wf = lambda t: weightfn.W_ell(lt, t, pp, "subset")
     pz = params.with_z(zs)
     rhs = []
     for mv in combin.index_vectors(2, params.ell):
-        wfn = lambda t: weightfn.w_trig(mv, t, pz, "subset", policy)
-        val, _ = integrate.jackson_sum(Wf, wfn, pz, side="x", cutoff=cutoff, policy=policy)
+        wfn = lambda t: weightfn.w_trig(mv, t, pz, "subset")
+        val, _ = integrate.jackson_sum(Wf, wfn, pz, side="x")
         rhs.append(weightfn.b_coeff(mv, params) * yval * val)
     rhs = np.asarray(rhs, dtype=np.complex128)
     L = params.Lambda
@@ -247,23 +244,19 @@ def mono_functoriality_residual(l_index, params, anchors=None, cutoff=60, policy
     return np.linalg.norm(lhs - R @ rhs) / max(np.linalg.norm(lhs), 1e-300)
 
 
-def hyper_map(tau, tau_p, params, spec=None, method="jackson", cutoff=60, policy=DEFAULT_POLICY):
+def hyper_map(tau, tau_p, params):
     """Matrix of the hypergeometric map: entry [l, m] = c^tau'_l b_m
-    I(W^tau'_l, w^tau_m).  As a linear map (V^e_tau')_ell -> (V_tau)_ell the
-    transpose acts on coordinates."""
+    I(W^tau'_l, w^tau_m), each pairing an x-side Jackson sum.  As a linear
+    map (V^e_tau')_ell -> (V_tau)_ell the transpose acts on coordinates."""
     n, ell = params.n, params.ell
     idx = combin.index_vectors(n, ell)
     out = np.zeros((len(idx), len(idx)), dtype=np.complex128)
     for i, l in enumerate(idx):
-        cW = weightfn.c_coeff(combin.permute_index(l, tau_p), params.permuted(tau_p), policy)
-        Wf = lambda t: weightfn.W_tau(l, t, params, tau_p, "subset", policy)
+        cW = weightfn.c_coeff(combin.permute_index(l, tau_p), params.permuted(tau_p))
+        Wf = lambda t: weightfn.W_tau(l, t, params, tau_p, "subset")
         for j, mv in enumerate(idx):
-            wfn = lambda t: weightfn.w_tau(mv, t, params, tau, "subset", policy)
-            if method == "jackson":
-                val, _ = integrate.jackson_sum(Wf, wfn, params, side="x", cutoff=cutoff, policy=policy)
-            else:
-                sp = spec if spec is not None else integrate.QuadratureSpec(128, None)
-                val = integrate.hyper_I(Wf, wfn, params, sp, policy)
+            wfn = lambda t: weightfn.w_tau(mv, t, params, tau, "subset")
+            val, _ = integrate.jackson_sum(Wf, wfn, params, side="x")
             out[i, j] = cW * weightfn.b_coeff(mv, params) * val
     return out
 
@@ -272,15 +265,7 @@ def hyper_map(tau, tau_p, params, spec=None, method="jackson", cutoff=60, policy
 # asymptotic zone checks
 
 
-def asymptotic_check(
-    l_index,
-    params_at_ratio,
-    ratios=(1e-1, 1e-2, 1e-3),
-    tau=None,
-    anchors=None,
-    cutoff=60,
-    policy=DEFAULT_POLICY,
-):
+def asymptotic_check(l_index, params_at_ratio, ratios=(1e-1, 1e-2, 1e-3), tau=None):
     """Leading-coefficient and dominance-pattern report in the asymptotic zone.
 
     params_at_ratio(r) must return an admissible ParameterSet whose z-ratios
@@ -295,15 +280,15 @@ def asymptotic_check(
         tt = tuple(tau) if tau is not None else tuple(range(n))
         lt = combin.permute_index(l_index, tt)
         pp = prm.with_xi_permuted(tt)
-        Y, _ = weightfn.adjusting_factor(lt, pp, anchors=anchors, policy=policy)
+        Y, _ = weightfn.adjusting_factor(lt, pp)
         sigma = combin.perm_inverse(tt)
         z_inv = tuple(prm.z[i] for i in sigma)
         yval = Y(z_inv)
-        psi = psi_solution(l_index, tt, prm, anchors, "jackson", cutoff=cutoff, policy=policy)
+        psi = psi_solution(l_index, tt, prm)
         scaled = psi / yval
         idx = combin.index_vectors(n, ell)
         iL = idx.index(tuple(l_index))
-        Xi = weightfn.xi_asym_coeff(l_index, prm, tt, policy)
+        Xi = weightfn.xi_asym_coeff(l_index, prm, tt)
         lead_rel = abs(scaled[iL] - Xi) / abs(Xi)
         sub = {}
         for j, mv in enumerate(idx):
@@ -317,15 +302,15 @@ def asymptotic_check(
     return report
 
 
-def as_factorization_ratio(l_index, params, cutoff=60, policy=DEFAULT_POLICY):
+def as_factorization_ratio(l_index, params):
     """I(W_l, w_l) over its asymptotic block factorization
     (ell!/prod l_m!) prod_m prod_{j<m} xi_j^(l_m) prod_m I^(m); the ratio
     tends to 1 as the zone limit is approached."""
     n = params.n
     l = tuple(l_index)
-    Wf = lambda t: weightfn.W_ell(l, t, params, "subset", policy)
-    wfn = lambda t: weightfn.w_trig(l, t, params, "subset", policy)
-    total, _ = integrate.jackson_sum(Wf, wfn, params, side="x", cutoff=cutoff, policy=policy)
+    Wf = lambda t: weightfn.W_ell(l, t, params, "subset")
+    wfn = lambda t: weightfn.w_trig(l, t, params, "subset")
+    total, _ = integrate.jackson_sum(Wf, wfn, params, side="x")
     pref = math.factorial(params.ell)
     for lm in l:
         pref /= math.factorial(lm)
@@ -334,8 +319,6 @@ def as_factorization_ratio(l_index, params, cutoff=60, policy=DEFAULT_POLICY):
         for j in range(m):
             pref *= params.xi[j] ** l[m]
     prod = 1.0 + 0j
-    from dataclasses import replace
-
     for m in range(n):
         lm = l[m]
         if lm == 0:
@@ -344,8 +327,8 @@ def as_factorization_ratio(l_index, params, cutoff=60, policy=DEFAULT_POLICY):
         sub = replace(
             params, n=1, ell=lm, xi=(params.xi[m],), z=(params.z[m] / abs(params.z[m]),), kappa=kap_m
         )
-        Wm = weightfn.one_block_W(lm, 0, sub, kap_m, policy)
+        Wm = weightfn.one_block_W(lm, 0, sub, kap_m)
         wm = weightfn.one_block_w(lm, 0, sub)
-        Im = integrate.hyper_I(Wm, wm, sub, integrate.QuadratureSpec(128), policy)
+        Im = integrate.hyper_I(Wm, wm, sub, integrate.QuadratureSpec(128))
         prod *= Im
     return total / (pref * prod)

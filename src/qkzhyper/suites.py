@@ -638,7 +638,14 @@ def elliptic_R_checks(seed):
     return out
 
 
-def intertwining_residual(L1, L2, x, lam, p, eta, depth=3, wmax=2):
+# Truncation depth of the evaluation modules, and the largest weight
+# compared, in the elliptic R-matrix intertwining check.
+_INTERTWINING_DEPTH = 3
+_INTERTWINING_WMAX = 2
+
+
+def intertwining_residual(L1, L2, x, lam, p, eta):
+    depth, wmax = _INTERTWINING_DEPTH, _INTERTWINING_WMAX
     bas = [(k1, k2) for k1 in range(depth + 1) for k2 in range(depth + 1)]
 
     def phi_matrix(lv):
@@ -713,6 +720,36 @@ def suite_asymptotics(seed=9, cfg=None):
     return out
 
 
+def qbeta_check(a, b, c, x, p, ell, M, tol):
+    """The ell-variable q-beta integral on an M-node torus grid against its
+    product formula."""
+    f = integrate.qbeta_integrand(a, b, c, x, p, ell)
+    lhs = integrate.torus_integral(f, ell, integrate.QuadratureSpec(M), measure="dt")
+    return [_val(f"qbeta-l{ell}", lhs, integrate.qbeta_rhs(a, b, c, x, p, ell), tol)]
+
+
+def askey_roy_check(a, b, c, alpha, beta, p, M, tol):
+    """The Askey-Roy integral on an M-node circle against its product formula."""
+    f = integrate.askey_roy_integrand(a, b, c, alpha, beta, p)
+    lhs = integrate.torus_integral(f, 1, integrate.QuadratureSpec(M))
+    return [_val("askey-roy", lhs, integrate.askey_roy_rhs(a, b, c, alpha, beta, p), tol)]
+
+
+def arl_check(a, b, c, alpha, beta, x, p, ell, M, tol):
+    """The ell-variable Askey-Roy integral on an M-node torus grid against its
+    product formula."""
+    f = integrate.arl_integrand(a, b, c, alpha, beta, x, p, ell)
+    lhs = integrate.torus_integral(f, ell, integrate.QuadratureSpec(M), measure="dt")
+    return [_val(f"askey-roy-multi-l{ell}", lhs, integrate.arl_rhs(a, b, c, alpha, beta, x, p, ell), tol)]
+
+
+def ascj_check(a, b, alpha, beta, p, m, ell, cutoff, tol):
+    """Askey's lattice sum at x = p^m, summed to shell `cutoff` at most,
+    against its product formula."""
+    s, r, _ = integrate.ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=cutoff)
+    return [_val(f"askey-conjecture-l{ell}-m{m}", s, r, tol)]
+
+
 def suite_identities(seed=10, cfg=None):
     out = []
     rng = np.random.default_rng(seed)
@@ -724,24 +761,11 @@ def suite_identities(seed=10, cfg=None):
     al, be = draw(0.3), draw(0.28)
     p = draw(0.2)
     x = draw(0.42)
-    # q-beta, ell = 1, 2
-    for ell, M, tol in ((1, 256, 1e-8), (2, 128, 1e-8)):
-        lhs = integrate.torus_integral(
-            integrate.qbeta_integrand(a, b, c, x, p, ell), ell, integrate.QuadratureSpec(M), measure="dt"
-        )
-        out.append(_val(f"qbeta-l{ell}", lhs, integrate.qbeta_rhs(a, b, c, x, p, ell), tol))
-    # Askey-Roy and its multidimensional version
-    lhs = integrate.torus_integral(
-        integrate.askey_roy_integrand(a, b, c, al, be, p), 1, integrate.QuadratureSpec(256)
-    )
-    out.append(_val("askey-roy", lhs, integrate.askey_roy_rhs(a, b, c, al, be, p), 1e-10))
-    lhs = integrate.torus_integral(
-        integrate.arl_integrand(a, b, c, al, be, x, p, 2), 2, integrate.QuadratureSpec(128), measure="dt"
-    )
-    out.append(_val("askey-roy-multi-l2", lhs, integrate.arl_rhs(a, b, c, al, be, x, p, 2), 1e-8))
+    out += qbeta_check(a, b, c, x, p, 1, 256, 1e-8) + qbeta_check(a, b, c, x, p, 2, 128, 1e-8)
+    out += askey_roy_check(a, b, c, al, be, p, 256, 1e-10)
+    out += arl_check(a, b, c, al, be, x, p, 2, 128, 1e-8)
     # Askey's conjecture and the q-Selberg Jackson sum
-    s, r, _ = integrate.ascj_sum(a, b, al, be, 0.25, 1, 2)
-    out.append(_val("askey-conjecture-l2-m1", s, r, 1e-8))
+    out += ascj_check(a, b, al, be, 0.25, 1, 2, cutoff=40, tol=1e-8)
     s, r, _ = integrate.ascj_general_sum(a, b, al, be, draw(0.45), 0.25, 2)
     out.append(_val("askey-conjecture-general-l2", s, r, 1e-8))
     s, r, _ = integrate.qselberg_jackson(draw(0.4), draw(0.2), 0.55, 0.3, 2)

@@ -21,7 +21,7 @@ import numpy as np
 from . import combin
 from .errors import ResonanceError
 from .grid import ProductGrid
-from .numkernel import DEFAULT_POLICY, qpoch, theta, theta_prime_one, theta_ratio
+from .numkernel import qpoch, theta, theta_prime_one, theta_ratio
 
 _TINY = 1e-240
 
@@ -97,7 +97,7 @@ def _w_core(assign, ts, params):
     return out
 
 
-def w_trig(l, t, params, form="symmetrized", policy=DEFAULT_POLICY):
+def w_trig(l, t, params, form="symmetrized"):
     """Trigonometric weight function w_l(t, z)."""
     ell = sum(l)
     ts, single = _as_batch(t, ell)
@@ -132,16 +132,16 @@ def w_trig(l, t, params, form="symmetrized", policy=DEFAULT_POLICY):
     raise ValueError(f"unknown form {form!r}")
 
 
-def w_tau(l, t, params, tau, form="symmetrized", policy=DEFAULT_POLICY):
+def w_tau(l, t, params, tau, form="symmetrized"):
     """w^tau_l(t, z; xi) = w_{tau l}(t, z_tau; xi_tau)."""
-    return w_trig(combin.permute_index(l, tau), t, params.permuted(tau), form, policy)
+    return w_trig(combin.permute_index(l, tau), t, params.permuted(tau), form)
 
 
 # ---------------------------------------------------------------------------
 # elliptic weight functions
 
 
-def _W_core_sym(l, ts, params, policy):
+def _W_core_sym(l, ts, params):
     """Unsymmetrized product of the symmetrized form, position-graded factor
     theta(eta^{2a-ell-1} kappa_m^-1 t_a / z_m) included."""
     p, eta = params.p, params.eta
@@ -152,15 +152,13 @@ def _W_core_sym(l, ts, params, policy):
     for a, m in enumerate(assign):
         ta = ts[..., a]
         km = kappa_m(params, m)
-        out *= theta_ratio(
-            eta ** (2 * (a + 1) - ell - 1) / km * ta / z[m], ta / (xi[m] * z[m]), p, policy
-        )
+        out *= theta_ratio(eta ** (2 * (a + 1) - ell - 1) / km * ta / z[m], ta / (xi[m] * z[m]), p)
         for lo in range(m):
-            out *= theta_ratio(xi[lo] * ta / z[lo], ta / (xi[lo] * z[lo]), p, policy)
+            out *= theta_ratio(xi[lo] * ta / z[lo], ta / (xi[lo] * z[lo]), p)
     return out
 
 
-def W_ell(l, t, params, form="symmetrized", policy=DEFAULT_POLICY):
+def W_ell(l, t, params, form="symmetrized"):
     """Elliptic weight function W_l(t, z)."""
     ell = sum(l)
     ts, single = _as_batch(t, ell)
@@ -169,14 +167,14 @@ def W_ell(l, t, params, form="symmetrized", policy=DEFAULT_POLICY):
     p, eta = params.p, params.eta
     if form == "symmetrized":
         pref = 1.0 + 0j
-        th_eta = theta(eta, p, policy)
+        th_eta = theta(eta, p)
         for lk in l:
             for s in range(1, lk + 1):
-                pref *= th_eta / theta(eta**s, p, policy)
-        f = lambda tt: _W_core_sym(l, tt, params, policy)
+                pref *= th_eta / theta(eta**s, p)
+        f = lambda tt: _W_core_sym(l, tt, params)
         acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
         for sigma in combin.all_perms(ell):
-            acc += combin.sym_act_ell(f, sigma, eta, p, policy)(ts)
+            acc += combin.sym_act_ell(f, sigma, eta, p)(ts)
         return _unbatch(pref * acc, single)
     if form == "subset":
         xi, z = params.xi, params.z
@@ -184,30 +182,28 @@ def W_ell(l, t, params, form="symmetrized", policy=DEFAULT_POLICY):
         for a in range(ell):
             for b in range(a + 1, ell):
                 r = ts[..., a] / ts[..., b]
-                front *= theta_ratio(r, eta * r, p, policy)
+                front *= theta_ratio(r, eta * r, p)
         acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
         for assign in combin.gamma_partitions(l):
             term = np.ones(ts.shape[:-1], dtype=np.complex128)
             for a, m in enumerate(assign):
                 ta = ts[..., a]
-                term *= theta_ratio(
-                    ta / (kappa_lm(l, params, m) * z[m]), ta / (xi[m] * z[m]), p, policy
-                )
+                term *= theta_ratio(ta / (kappa_lm(l, params, m) * z[m]), ta / (xi[m] * z[m]), p)
                 for lo in range(m):
-                    term *= theta_ratio(xi[lo] * ta / z[lo], ta / (xi[lo] * z[lo]), p, policy)
+                    term *= theta_ratio(xi[lo] * ta / z[lo], ta / (xi[lo] * z[lo]), p)
             for a in range(ell):
                 for b in range(ell):
                     if a != b and assign[a] < assign[b]:
                         r = ts[..., a] / ts[..., b]
-                        term *= theta_ratio(eta * r, r, p, policy)
+                        term *= theta_ratio(eta * r, r, p)
             acc += term
         return _unbatch(front * acc, single)
     raise ValueError(f"unknown form {form!r}")
 
 
-def W_tau(l, t, params, tau, form="symmetrized", policy=DEFAULT_POLICY):
+def W_tau(l, t, params, tau, form="symmetrized"):
     """W^tau_l(t, z; xi) = W_{tau l}(t, z_tau; xi_tau)."""
-    return W_ell(combin.permute_index(l, tau), t, params.permuted(tau), form, policy)
+    return W_ell(combin.permute_index(l, tau), t, params.permuted(tau), form)
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +260,30 @@ def b_coeff(l, params):
     return out
 
 
-def _theta_resonant(u, p, margin):
-    """True when u sits within the multiplicative margin of the zero lattice p^Z."""
+# Multiplicative distance from the theta zero lattice p^Z at which a
+# tensor-coordinate denominator counts as resonant.
+_RESONANCE_MARGIN = 1e-9
+
+
+def _theta_resonant(u, p):
+    """True when u sits within _RESONANCE_MARGIN of the zero lattice p^Z."""
     au = abs(u)
     if au == 0:
         return True
     s = round(math.log(au) / math.log(abs(p)))
-    return abs(u / p**s - 1.0) < margin
+    return abs(u / p**s - 1.0) < _RESONANCE_MARGIN
 
 
-def c_coeff(l, params, policy=DEFAULT_POLICY, margin=1e-9):
+def c_coeff(l, params):
     """Tensor-coordinate coefficient c_l(xi_1..xi_n)."""
     p, eta, ka = params.p, params.eta, params.kappa
     xi = params.xi
     n, ell = params.n, params.ell
 
     def th(u):
-        if _theta_resonant(u, p, margin):
+        if _theta_resonant(u, p):
             raise ResonanceError("theta zero in a tensor-coordinate denominator")
-        return theta(u, p, policy)
+        return theta(u, p)
 
     out = 1.0 + 0j
     for m, lm in enumerate(l):
@@ -307,17 +308,17 @@ def c_coeff(l, params, policy=DEFAULT_POLICY, margin=1e-9):
             if s == 0:
                 continue
             den *= th(eta**s * pref)
-    if abs(den) < margin * _TINY or not np.isfinite(abs(den)):
+    if abs(den) < _RESONANCE_MARGIN * _TINY or not np.isfinite(abs(den)):
         raise ResonanceError("c_l denominator vanished")
     return out / den
 
 
-def N_coeff(l, params, policy=DEFAULT_POLICY):
+def N_coeff(l, params):
     """Shapovalov diagonal N_l(xi_1..xi_n)."""
     p, eta, ka = params.p, params.eta, params.kappa
     xi, n = params.xi, params.n
-    th = lambda u: theta(u, p, policy)
-    tp1 = theta_prime_one(p, policy)
+    th = lambda u: theta(u, p)
+    tp1 = theta_prime_one(p)
     out = 1.0 + 0j
     for m, lm in enumerate(l):
         for s in range(1, lm + 1):
@@ -338,7 +339,7 @@ def N_coeff(l, params, policy=DEFAULT_POLICY):
     return out
 
 
-def xi_asym_coeff(l, params, tau=None, policy=DEFAULT_POLICY):
+def xi_asym_coeff(l, params, tau=None):
     """Leading asymptotic coefficient Xi^tau_l of the solution basis."""
     n, ell = params.n, params.ell
     tau = tuple(tau) if tau is not None else tuple(range(n))
@@ -346,8 +347,8 @@ def xi_asym_coeff(l, params, tau=None, policy=DEFAULT_POLICY):
     p, eta = params.p, params.eta
     xi = params.xi
     out = (2j * math.pi) ** ell * math.factorial(ell)
-    e_inv = qpoch(1.0 / eta, p, policy)
-    pp = qpoch(p, p, policy)
+    e_inv = qpoch(1.0 / eta, p)
+    pp = qpoch(p, p)
     for m, lm in enumerate(l):
         out *= params.q_pow(lm * (1 - lm) / 2.0) * params.q_pow(lm * params.Lambda[m])
         for lo in range(m):
@@ -357,9 +358,9 @@ def xi_asym_coeff(l, params, tau=None, policy=DEFAULT_POLICY):
                 out *= eta ** (l[lo] * lm) * xi[lo] ** (-lm)
         klm = kappa_lm_tau(l, params, m, tau)
         for s in range(lm):
-            out *= e_inv * qpoch(eta**-s / klm * xi[m], p, policy)
-            out *= qpoch(p * eta**-s * klm * xi[m], p, policy)
-            out /= qpoch(eta ** (-s - 1), p, policy) * qpoch(eta**-s * xi[m] ** 2, p, policy) * pp
+            out *= e_inv * qpoch(eta**-s / klm * xi[m], p)
+            out *= qpoch(p * eta**-s * klm * xi[m], p)
+            out /= qpoch(eta ** (-s - 1), p) * qpoch(eta**-s * xi[m] ** 2, p) * pp
     return out
 
 
@@ -383,7 +384,7 @@ def alpha_multipliers(l, params, tau=None):
     return tuple(out)
 
 
-def norm_constants(l, params, tau=None, policy=DEFAULT_POLICY):
+def norm_constants(l, params, tau=None):
     """All five constants attached to an index vector (for the tau-basis)."""
     n = params.n
     tau = tuple(tau) if tau is not None else tuple(range(n))
@@ -391,32 +392,32 @@ def norm_constants(l, params, tau=None, policy=DEFAULT_POLICY):
     lt = combin.permute_index(l, tau)
     return NormConstants(
         b_l=b_coeff(l, params),
-        c_l=c_coeff(lt, pt, policy),
-        N_l=N_coeff(lt, pt, policy),
-        Xi_l=xi_asym_coeff(l, params, tau, policy),
+        c_l=c_coeff(lt, pt),
+        N_l=N_coeff(lt, pt),
+        Xi_l=xi_asym_coeff(l, params, tau),
         alpha=alpha_multipliers(l, params, tau),
     )
 
 
-def adjusting_factor(l, params, anchors=None, tau=None, policy=DEFAULT_POLICY):
-    """Adjusting factor Y_l(z) = prod_m theta(c_m z_m / a_{l,m}) / theta(c_m z_m).
+def adjusting_factor(l, params, tau=None):
+    """Adjusting factor Y_l(z) = prod_m theta(c_m z_m / a_{l,m}) / theta(c_m z_m)
+    with anchors c_m = 1 + 0.1 (m + 1).
 
     Returns (Y, alphas) with Y a callable of the z-vector; Y(.., p z_m, ..)
     equals a_{l,m} Y(z).
     """
     n = params.n
-    if anchors is None:
-        anchors = tuple(1.0 + 0.1 * (m + 1) for m in range(n))
+    anchors = tuple(1.0 + 0.1 * (m + 1) for m in range(n))
     alphas = alpha_multipliers(l, params, tau)
     p = params.p
 
     def Y(z):
         out = 1.0 + 0j
         for m in range(n):
-            den = theta(anchors[m] * z[m], p, policy)
+            den = theta(anchors[m] * z[m], p)
             if abs(den) < 1e-200:
                 raise ResonanceError("adjusting-factor anchor hits a theta zero")
-            out *= theta(anchors[m] * z[m] / alphas[m], p, policy) / den
+            out *= theta(anchors[m] * z[m] / alphas[m], p) / den
         return out
 
     return Y, alphas
@@ -437,7 +438,7 @@ def aux_roots(params):
     return alpha, zeta
 
 
-def basis_aux(kind, l, t, params, policy=DEFAULT_POLICY):
+def basis_aux(kind, l, t, params):
     """Auxiliary families: Q_l, P_l, g_l (trig) and Theta_l, G_l, J_l (elliptic)."""
     ell = sum(l)
     ts, single = _as_batch(t, ell)
@@ -455,7 +456,7 @@ def basis_aux(kind, l, t, params, policy=DEFAULT_POLICY):
         return _unbatch(acc, single)
 
     if kind == "g":
-        qv = basis_aux("Q", l, ts, params, policy)
+        qv = basis_aux("Q", l, ts, params)
         out = np.asarray(qv, dtype=np.complex128).copy()
         for a in range(ell):
             out *= ts[..., a]
@@ -491,7 +492,7 @@ def basis_aux(kind, l, t, params, policy=DEFAULT_POLICY):
         def vth(lbl, u):
             out = u ** (lbl - 1)
             for m in range(1, n + 1):
-                out = out * theta(zeta * alpha ** (lbl - 1) * omega**m * u, p, policy)
+                out = out * theta(zeta * alpha ** (lbl - 1) * omega**m * u, p)
             return out
 
         # gamma_partitions already runs over coset representatives, which
@@ -505,15 +506,15 @@ def basis_aux(kind, l, t, params, policy=DEFAULT_POLICY):
         return _unbatch(acc, single)
 
     if kind == "G":
-        tv = basis_aux("Theta", l, ts, params, policy)
+        tv = basis_aux("Theta", l, ts, params)
         out = np.asarray(tv, dtype=np.complex128).copy()
         for a in range(ell):
             for m in range(n):
-                out /= theta(ts[..., a] / (xi[m] * z[m]), p, policy)
+                out /= theta(ts[..., a] / (xi[m] * z[m]), p)
         for a in range(ell):
             for b in range(a + 1, ell):
                 r = ts[..., a] / ts[..., b]
-                out *= theta(r, p, policy) / theta(eta * r, p, policy)
+                out *= theta(r, p) / theta(eta * r, p)
         return _unbatch(out, single)
 
     if kind == "J":
@@ -524,16 +525,16 @@ def basis_aux(kind, l, t, params, policy=DEFAULT_POLICY):
             term = np.ones(ts.shape[:-1], dtype=np.complex128)
             for a, m in enumerate(assign):
                 ta = ts[..., a]
-                term *= theta(ta / (kappa_lm(l, params, m) * z[m]), p, policy)
+                term *= theta(ta / (kappa_lm(l, params, m) * z[m]), p)
                 for lo in range(m):
-                    term *= theta(xi[lo] * ta / z[lo], p, policy)
+                    term *= theta(xi[lo] * ta / z[lo], p)
                 for lo in range(m + 1, n):
-                    term *= theta(ta / (xi[lo] * z[lo]), p, policy)
+                    term *= theta(ta / (xi[lo] * z[lo]), p)
             for a in range(ell):
                 for b in range(ell):
                     if a != b and assign[a] < assign[b]:
                         r = ts[..., a] / ts[..., b]
-                        term *= theta(eta * r, p, policy) / theta(r, p, policy)
+                        term *= theta(eta * r, p) / theta(r, p)
             acc += term
         return _unbatch(acc, single)
 
@@ -556,7 +557,7 @@ def P_at_x_closed(l, params):
     return out
 
 
-def J_at_x_closed(l, params, policy=DEFAULT_POLICY):
+def J_at_x_closed(l, params):
     """Closed product for J_l(x<l)."""
     n, eta, p = params.n, params.eta, params.p
     xs = [params.xi[m] * params.z[m] for m in range(n)]
@@ -564,7 +565,7 @@ def J_at_x_closed(l, params, policy=DEFAULT_POLICY):
     A = params.kappa
     for zm in params.z:
         A *= zm
-    th = lambda u: theta(u, p, policy)
+    th = lambda u: theta(u, p)
     out = 1.0 + 0j
     for m, lm in enumerate(l):
         for s in range(lm):
@@ -586,7 +587,7 @@ def J_at_x_closed(l, params, policy=DEFAULT_POLICY):
 # star products
 
 
-def star_product(f, g, jvars, lvars, split_k, params, flavor="trig", policy=DEFAULT_POLICY):
+def star_product(f, g, jvars, lvars, split_k, params, flavor="trig"):
     """Symmetrized product f * g of fields in jvars and lvars variables.
 
     split_k is the number of leading (z, xi) pairs attached to f; the bridge
@@ -608,7 +609,7 @@ def star_product(f, g, jvars, lvars, split_k, params, flavor="trig", policy=DEFA
                 if flavor == "trig":
                     out = out * (xi[i] * ta - z[i]) / (ta - xi[i] * z[i])
                 else:
-                    out = out * theta_ratio(xi[i] * ta / z[i], ta / (xi[i] * z[i]), p, policy)
+                    out = out * theta_ratio(xi[i] * ta / z[i], ta / (xi[i] * z[i]), p)
         return out
 
     act = combin.sym_act_trig if flavor == "trig" else combin.sym_act_ell
@@ -620,7 +621,7 @@ def star_product(f, g, jvars, lvars, split_k, params, flavor="trig", policy=DEFA
             if flavor == "trig":
                 acc += act(core, sigma, eta)(ts)
             else:
-                acc += act(core, sigma, eta, p, policy)(ts)
+                acc += act(core, sigma, eta, p)(ts)
         acc /= math.factorial(jvars) * math.factorial(lvars)
         return _unbatch(acc, single)
 
@@ -644,7 +645,7 @@ def one_block_w(lm, m, params):
     return f
 
 
-def one_block_W(lm, m, params, kappa_block, policy=DEFAULT_POLICY):
+def one_block_W(lm, m, params, kappa_block):
     """n=1 style elliptic weight function for block m with its own kappa."""
     p, eta = params.p, params.eta
 
@@ -654,12 +655,12 @@ def one_block_W(lm, m, params, kappa_block, policy=DEFAULT_POLICY):
         for a in range(lm):
             ta = t[..., a]
             out *= theta_ratio(
-                ta / (kappa_block * params.z[m]), ta / (params.xi[m] * params.z[m]), p, policy
+                ta / (kappa_block * params.z[m]), ta / (params.xi[m] * params.z[m]), p
             )
         for a in range(lm):
             for b in range(a + 1, lm):
                 r = t[..., a] / t[..., b]
-                out *= theta(r, p, policy) / theta(eta * r, p, policy)
+                out *= theta(r, p) / theta(eta * r, p)
         return out
 
     return f
@@ -748,7 +749,7 @@ def coboundary_coeffs(l, params, primed=False):
     return out
 
 
-def boundary_element(flavor, W_lower, params, policy=DEFAULT_POLICY):
+def boundary_element(flavor, W_lower, params):
     """Element of the boundary subspace Q(z) or Q'(z) built from an
     (ell-1)-variable elliptic function W_lower.
 
@@ -774,7 +775,7 @@ def boundary_element(flavor, W_lower, params, policy=DEFAULT_POLICY):
             out = out / tl
             for m in range(params.n):
                 out = out * theta_ratio(
-                    params.xi[m] * tl / params.z[m], tl / (params.xi[m] * params.z[m]), p, policy
+                    params.xi[m] * tl / params.z[m], tl / (params.xi[m] * params.z[m]), p
                 )
             return out
 
@@ -785,7 +786,7 @@ def boundary_element(flavor, W_lower, params, policy=DEFAULT_POLICY):
         ts, single = _as_batch(t, ell)
         acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
         for sigma in combin.all_perms(ell):
-            acc += combin.sym_act_ell(core, sigma, eta, p, policy)(ts)
+            acc += combin.sym_act_ell(core, sigma, eta, p)(ts)
         return _unbatch(acc, single)
 
     return f

@@ -45,6 +45,10 @@ def _worst_rel(records, ids=None):
     return max(r["residual"] if "residual" in r else abs(r["lhs"] - r["rhs"]) / abs(r["rhs"]) for r in recs)
 
 
+def _rel_to_lhs(rec):
+    return abs(rec["lhs"] - rec["rhs"]) / abs(rec["lhs"])
+
+
 def test_c01_kernel_identities():
     t0 = time.perf_counter()
     ok, worst, recs = _suite_block(
@@ -69,18 +73,12 @@ def test_c03_qbeta():
     draw = lambda m: m * np.exp(1j * rng.uniform(0, 2 * np.pi))
     a, b, c, x, p = draw(0.35), draw(0.4), draw(1.2), draw(0.42), draw(0.2)
     t0 = time.perf_counter()
-    worst12 = 0.0
-    for ell, M in ((1, 256), (2, 128)):
-        lhs = ig.torus_integral(
-            ig.qbeta_integrand(a, b, c, x, p, ell), ell, ig.QuadratureSpec(M), measure="dt"
-        )
-        worst12 = max(worst12, abs(lhs - ig.qbeta_rhs(a, b, c, x, p, ell)) / abs(lhs))
+    recs = suites.qbeta_check(a, b, c, x, p, 1, 256, 1e-8) + suites.qbeta_check(a, b, c, x, p, 2, 128, 1e-8)
+    worst12 = max(_rel_to_lhs(r) for r in recs)
     dt12 = time.perf_counter() - t0
     t0 = time.perf_counter()
-    lhs = ig.torus_integral(
-        ig.qbeta_integrand(a, b, c, x, p, 3), 3, ig.QuadratureSpec(96), measure="dt"
-    )
-    rel3 = abs(lhs - ig.qbeta_rhs(a, b, c, x, p, 3)) / abs(lhs)
+    (rec,) = suites.qbeta_check(a, b, c, x, p, 3, 96, 1e-6)
+    rel3 = _rel_to_lhs(rec)
     dt3 = time.perf_counter() - t0
     ok = worst12 <= 1e-8 and dt12 < 5.0 and rel3 <= 1e-6 and dt3 < 300.0
     _line("C03", ok, f"q-beta l=1,2 rel={worst12:.2e} ({dt12:.1f}s); l=3 rel={rel3:.2e} ({dt3:.1f}s)")
@@ -91,14 +89,12 @@ def test_c04_askey_roy():
     draw = lambda m: m * np.exp(1j * rng.uniform(0, 2 * np.pi))
     a, b, c, al, be, p, x = draw(0.35), draw(0.4), draw(1.2), draw(0.3), draw(0.28), draw(0.2), draw(0.42)
     t0 = time.perf_counter()
-    lhs = ig.torus_integral(ig.askey_roy_integrand(a, b, c, al, be, p), 1, ig.QuadratureSpec(256))
-    rel1 = abs(lhs - ig.askey_roy_rhs(a, b, c, al, be, p)) / abs(lhs)
+    (rec,) = suites.askey_roy_check(a, b, c, al, be, p, 256, 1e-10)
+    rel1 = _rel_to_lhs(rec)
     dt1 = time.perf_counter() - t0
     t0 = time.perf_counter()
-    lhs = ig.torus_integral(
-        ig.arl_integrand(a, b, c, al, be, x, p, 2), 2, ig.QuadratureSpec(128), measure="dt"
-    )
-    rel2 = abs(lhs - ig.arl_rhs(a, b, c, al, be, x, p, 2)) / abs(lhs)
+    (rec,) = suites.arl_check(a, b, c, al, be, x, p, 2, 128, 1e-8)
+    rel2 = _rel_to_lhs(rec)
     dt2 = time.perf_counter() - t0
     ok = rel1 <= 1e-10 and dt1 < 1.0 and rel2 <= 1e-8 and dt2 < 30.0
     _line("C04", ok, f"Askey-Roy rel={rel1:.2e} ({dt1:.2f}s); l=2 version rel={rel2:.2e} ({dt2:.1f}s)")
@@ -109,8 +105,7 @@ def test_c05_askey_conjecture_and_qselberg():
     draw = lambda m: m * np.exp(1j * rng.uniform(0, 2 * np.pi))
     a, b, al, be = draw(0.3), draw(0.35), draw(0.28), draw(0.31)
     t0 = time.perf_counter()
-    s, r, _ = ig.ascj_sum(a, b, al, be, 0.25, 1, 2)
-    rel1 = abs(s - r) / abs(r)
+    rel1 = _worst_rel(suites.ascj_check(a, b, al, be, 0.25, 1, 2, cutoff=40, tol=1e-8))
     dt1 = time.perf_counter() - t0
     t0 = time.perf_counter()
     s, r, _ = ig.qselberg_jackson(draw(0.4), draw(0.2), 0.55, 0.3, 2)

@@ -217,6 +217,15 @@ def test_table_detMq(tmp_path):
     assert doc["rows"][0]["rel_err"] <= 1e-8
 
 
+@pytest.mark.parametrize("identity,meta", [("askey_roy", {}), ("arl", {"ell": 2}), ("ascj", {"ell": 2, "m": 1})])
+def test_table_torus_identities(identity, meta, tmp_path):
+    rp = tmp_path / "t.json"
+    assert cli.main(["table", identity, "--rows", "1", "--report", str(rp)]) == 0
+    (row,) = json.loads(rp.read_text())["rows"]
+    assert row["seed"] == 1 and row["meta"] == meta
+    assert row["rel_err"] <= 1e-8
+
+
 def test_table_unknown_identity():
     assert cli.main(["table", "nonsense"]) == 2
 

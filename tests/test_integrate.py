@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qkzhyper import combin, integrate as ig, weightfn as wf
+from qkzhyper import combin, integrate as ig, suites, weightfn as wf
 from qkzhyper.cli_params import sample_params
 from qkzhyper.errors import ConvergenceError, DegeneracyError
 from qkzhyper.numkernel import ParameterSet, phase_phi, qpoch, theta
@@ -112,6 +112,13 @@ def test_shell_sum_raises_at_cutoff():
         ig._shell_sum(lambda s: [0.6**s], cutoff=5, tol=1e-12)
 
 
+def test_shell_sum_raises_on_tail_past_stopping_rule():
+    # 0.99^s stops near shell 2300, where the geometric tail 99 r^N is still
+    # about 99 times tol * |total|
+    with pytest.raises(ConvergenceError):
+        ig._shell_sum(lambda s: [0.99**s], cutoff=5000, tol=1e-12)
+
+
 def test_jackson_sum_raises_at_cutoff():
     # acceptance criterion C06's (2, 1) draw settles after more than two shells
     P = sample_params(9, 2, 1, regime="jackson_overlap")
@@ -151,8 +158,6 @@ def test_jackson_unknown_side():
     for side in ("Y", "X", "z"):
         with pytest.raises(ValueError):
             ig.jackson_sum(Wf, wfn, P, side=side)
-        with pytest.raises(ValueError):
-            ig.jackson_sum(Wf, wfn, P, side=side, enforce_regime=False)
     assert not calls
 
 
@@ -171,9 +176,9 @@ def _residue_radii_loop(center, params, shrink=0.05, smax=24):
     p, eta = params.p, params.eta
     fixed = [0.0]
     for m in range(params.n):
-        for s in range(smax):
+        for s in range(1 - smax, smax):
             fixed.append(p**s * params.xi[m] * params.z[m])
-            fixed.append(p ** (-s) * params.z[m] / params.xi[m])
+            fixed.append(p**s * params.z[m] / params.xi[m])
     radii = []
     for k, ck in enumerate(center):
         cands = list(fixed)
@@ -220,6 +225,23 @@ def test_residue_radii_match_scalar_reference():
                     got = ig._residue_radii(c, P)
                     want = _residue_radii_loop(c, P)
                     assert np.allclose(got, want, rtol=1e-14, atol=0), (mvec, side, shift)
+
+
+def test_pole_catalog_is_two_sided():
+    # omega_elliptic's theta quotients have poles at p^s z_m / xi_m and zeros
+    # at p^s xi_m z_m for s of both signs
+    P = sample_params(3, 3, 1)
+    fixed, _ = ig._pole_catalog(P)
+    for m in range(P.n):
+        for v in (P.p * P.z[m] / P.xi[m], P.xi[m] * P.z[m] / P.p):
+            assert np.min(np.abs(fixed - v)) < 1e-15 * abs(v)
+
+
+def test_shapovalov_checks_near_uncatalogued_pole():
+    # at this draw the x-point (1, 0, 0) sits 0.0245 from the pole p z_1 / xi_1
+    # of omega_elliptic; a catalog without it sized that residue circle 0.0172
+    recs = suites.finalize(suites.shapovalov_checks(sample_params(3, 3, 1)))
+    assert all(r["status"] == "pass" for r in recs), [(r["id"], r["rel_err"]) for r in recs]
 
 
 def test_residue_radii_degenerate_point():
@@ -337,22 +359,21 @@ def test_residue_vs_annulus_quadrature():
     # independent oracle for the nested residue: for ell = 1 the residue at
     # x<l is the contour difference across the annulus containing only it
     P = sample_params(61, 2, 1)
-    from qkzhyper.numkernel import DEFAULT_POLICY
-
     l = (1, 0)
     x0 = wf.special_point(l, P, "x")[0]
     Wf = lambda t: wf.W_ell(l, t, P, "subset")
     wfn = lambda t: wf.w_trig(l, t, P, "subset")
-    phit = ig._phase_tilde(P, DEFAULT_POLICY)
+    phit = ig._phase_tilde(P)
     f = lambda t: phit(t) * wfn(t) * Wf(t)
     x1 = wf.special_point((0, 1), P, "x")[0]
     got = ig.multi_residue(f, np.array([x0]), params=P) + ig.multi_residue(
         f, np.array([x1]), params=P
     )
     r_out, r_in = abs(x0) * 1.12, abs(x0) * 0.9
-    # the annulus contains exactly the two base x-points of this draw
-    Iout = ig.torus_integral(f, 1, ig.QuadratureSpec(384, (r_out,)), measure="dt")
-    Iin = ig.torus_integral(f, 1, ig.QuadratureSpec(384, (r_in,)), measure="dt")
+    # the annulus contains exactly the two base x-points of this draw; the
+    # contour integral over |t| = r is that of r f(r u) du over |u| = 1
+    ring = lambda r: ig.torus_integral(lambda u: r * f(r * np.asarray(u)), 1, ig.QuadratureSpec(384), measure="dt")
+    Iout, Iin = ring(r_out), ring(r_in)
     want = (Iout - Iin) / (2j * np.pi)
     assert abs(got - want) / abs(want) < 1e-9
 
