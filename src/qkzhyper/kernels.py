@@ -9,13 +9,15 @@ comparable size never overflow).  The kernel picks one of two numpy paths
 from its work, points x nterms:
 
 * small inputs (pointwise calls of one to a few hundred points) build the
-  (terms x points) factor matrix once from one `cumprod` of p and reduce it
-  with `prod(axis=0)`: a handful of ufunc dispatches per call instead of
-  several per term;
+  (terms x points) factor matrix once from the column of p^k, cached per
+  (p, nterms), and reduce it with `prod(axis=0)`: a handful of ufunc
+  dispatches per call instead of several per term;
 * large inputs (residue circles, torus grids) run the per-term loop over
   blocks of at most `_BLOCK` points with preallocated buffers and in-place
   ufuncs, so no temporary leaves the cache.
 """
+
+import functools
 
 import numpy as np
 
@@ -30,12 +32,23 @@ _SMALL_WORK = 1 << 13
 # Points per block of the term loop: its two (2 x _BLOCK) complex buffers
 # take 256 KiB.
 _BLOCK = 4096
+# Distinct (p, nterms) columns kept by `_p_powers`; one pass of a benchmark
+# workload uses 25 to 101.
+_P_POWERS_CACHE = 256
 
 
-def _factor_matrix(rows, p, nterms, combine):
+@functools.lru_cache(maxsize=_P_POWERS_CACHE)
+def _p_powers(p, nterms):
+    """Read-only (nterms, 1) column of p^k, k < nterms, from one cumprod."""
     pk = np.full((nterms, 1), p, dtype=np.complex128)
     pk[:1] = 1.0
     np.cumprod(pk, axis=0, out=pk)
+    pk.flags.writeable = False
+    return pk
+
+
+def _factor_matrix(rows, p, nterms, combine):
+    pk = _p_powers(p, nterms)
     f = pk * rows[0]
     np.subtract(1.0, f, out=f)
     if combine is not None:
@@ -92,6 +105,9 @@ def qpoch_ratio_array(a, b, p, nterms):
     """Overflow-safe (a;p)_inf / (b;p)_inf with termwise factor pairing."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    rows = (np.broadcast_to(a, shape).ravel(), np.broadcast_to(b, shape).ravel())
+    if a.shape == b.shape:
+        shape, rows = a.shape, (a.ravel(), b.ravel())
+    else:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        rows = (np.broadcast_to(a, shape).ravel(), np.broadcast_to(b, shape).ravel())
     return _product(rows, p, nterms, np.divide).reshape(shape)

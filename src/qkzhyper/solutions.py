@@ -39,19 +39,25 @@ def sample_nodes(seed, ell, count):
     return pts
 
 
+def _sample(fields, nodes):
+    """(nodes, fields) matrix of every field at every node: one call per
+    field on all nodes at once."""
+    count = len(nodes)
+    return np.array([np.broadcast_to(f(nodes), (count,)) for f in fields]).T
+
+
 def expand_in_basis(targets, basis, ell, seed=1):
     """Coefficients X with target_j = sum_m X[m, j] basis_m, by sampling at
     dim generic points and solving the square system."""
     dim = len(basis)
     for attempt in range(_RETRIES + 1):
         nodes = sample_nodes(seed + 17 * attempt, ell, dim)
-        B = np.array([[f(nodes[i : i + 1])[0] for f in basis] for i in range(dim)])
+        B = _sample(basis, nodes)
         if np.linalg.cond(B) < _COND_CAP:
             break
     else:
         raise ResonanceError("ill-conditioned basis sample system")
-    T = np.array([[f(nodes[i : i + 1])[0] for f in targets] for i in range(dim)])
-    return np.linalg.solve(B, T)
+    return np.linalg.solve(B, _sample(targets, nodes))
 
 
 def tensor_coordinates(flavor, tau, params):

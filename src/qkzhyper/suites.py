@@ -485,17 +485,22 @@ def vanishing_checks(seed):
 def jackson_checks(P, cfg=None):
     """Torus integral = x-side Jackson sum = y-side Jackson sum of
     I(W_l, w_m) for the first and last index vectors; needs P in the
-    overlap of both convergence regimes."""
+    overlap of both convergence regimes.  Each sum's record carries its
+    `shells` and `tail_estimate`."""
     IV = combin.index_vectors(P.n, P.ell)
     l, m = IV[0], IV[-1]
     Wf = lambda t: weightfn.W_ell(l, t, P, "subset")
     wfn = lambda t: weightfn.w_trig(m, t, P, "subset")
     I0 = integrate.hyper_I(Wf, wfn, P, integrate.QuadratureSpec(_grid(cfg, 128)))
     cut = cfg.cutoff if cfg is not None else 60
-    Ix, _ = integrate.jackson_sum(Wf, wfn, P, side="x", cutoff=cut)
-    Iy, _ = integrate.jackson_sum(Wf, wfn, P, side="y", cutoff=cut)
     tag = f"({P.n},{P.ell})"
-    return [_val(f"jackson-x-{tag}", Ix, I0, 1e-7), _val(f"jackson-y-{tag}", Iy, I0, 1e-7)]
+    out = []
+    for side in ("x", "y"):
+        val, report = integrate.jackson_sum(Wf, wfn, P, side=side, cutoff=cut)
+        rec = _val(f"jackson-{side}-{tag}", val, I0, 1e-7)
+        rec.update(shells=int(report["shells"]), tail_estimate=float(report["tail_estimate"]))
+        out.append(rec)
+    return out
 
 
 def suite_jackson(seed=6, cfg=None):

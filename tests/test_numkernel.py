@@ -15,6 +15,7 @@ from qkzhyper.numkernel import (
     phase_phi,
     p_gamma_sin,
     p_power_bracket,
+    pp_inf,
     qpoch,
     qpoch_ratio,
     theta,
@@ -258,3 +259,77 @@ def test_truncation_cap_raises_at_large_p():
     with mpmath.workdps(40):
         ref = mpmath.qp(mpmath.mpc(u), mpmath.mpc(p))
     assert _rel(kernels.qpoch_array(u, p, n), ref) < ORACLE_TOL
+
+
+@pytest.mark.parametrize("ap, raises", [(0.83, False), (0.85, True)])
+def test_truncation_cap_brackets_the_crossing(ap, raises):
+    # at max|u| = 1 the 1e-14 tail needs 200 terms at |p| = 0.842: 184 at 0.83, 212 at 0.85
+    p = ap * np.exp(0.7j)
+    u, a, b = 0.95 * np.exp(0.3j), 0.9 * np.exp(1.1j), 0.97 * np.exp(-2.0j)
+    calls = {"qpoch": lambda: qpoch(u, p), "theta": lambda: theta(u, p), "qpoch_ratio": lambda: qpoch_ratio(a, b, p)}
+    if raises:
+        for call in calls.values():
+            with pytest.raises(ConvergenceError):
+                call()
+        return
+    with mpmath.workdps(40):
+        mp_p = mpmath.mpc(p)
+        qp = lambda x: mpmath.qp(mpmath.mpc(x), mp_p)
+        want = {"qpoch": qp(u), "theta": qp(u) * qp(p / u) * qp(p), "qpoch_ratio": qp(a) / qp(b)}
+    for name, call in calls.items():
+        assert _rel(call(), want[name]) < ORACLE_TOL, name
+
+
+def test_p_gamma_sin_matches_mpmath_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        p = rng.uniform(0.05, 0.6) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        x = rng.uniform(0.15, 0.85) + 1j * rng.uniform(-0.3, 0.3)
+        u = rng.uniform(0.3, 0.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        with mpmath.workdps(40):
+            mp_p, mp_x = mpmath.mpc(p), mpmath.mpc(x)
+            qp = lambda v: mpmath.qp(v, mp_p)
+            px = mpmath.exp(mp_x * mpmath.log(mp_p))
+            pp = qp(mp_p)
+            gamma = mpmath.exp((1 - mp_x) * mpmath.log(1 - mp_p)) * pp / qp(px)
+            sin = mpmath.pi * qp(px) * qp(mp_p / px) * pp / ((1 - mp_p) * pp**3)
+            power = qp(mpmath.mpc(u) / px) / qp(px * mpmath.mpc(u))
+        assert _rel(p_gamma_sin(x, p, "gamma"), gamma) < ORACLE_TOL
+        assert _rel(p_gamma_sin(x, p, "sin"), sin) < ORACLE_TOL
+        assert _rel(p_gamma_sin(x, p, "power", extra=u), power) < ORACLE_TOL
+
+
+# ---------------------------------------------------------------------------
+# caches: (p;p)_inf per p, the p-power column per (p, nterms)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.21 + 0.04j, np.complex128(0.4 * np.exp(2.5j))])
+def test_pp_inf_cache_is_qpoch(p):
+    assert pp_inf(p) == complex(qpoch(p, p))
+    # the second call is served from the cache
+    assert pp_inf(p) == complex(qpoch(p, p))
+
+
+def test_theta_is_theta_array_at_policy_nterms():
+    p = 0.35 * np.exp(0.9j)
+    rng = np.random.default_rng(5)
+    u = _shell_points(rng, p, 40)
+    # in the last two |p| / min|u| sets nterms, not max|u|
+    small = 0.02 * np.exp(0.4j)
+    for arg in (u[0], complex(u[1]), u, u.reshape(5, 8), small, u[np.abs(u) < 1] * 0.05):
+        au = np.abs(np.asarray(arg))
+        n = DEFAULT_POLICY.nterms(p, max(float(au.max()), abs(p) / float(au.min())))
+        want = kernels.theta_array(arg, p, n, qpoch(p, p))
+        got = theta(arg, p)
+        assert np.shape(got) == np.shape(arg)
+        assert np.array_equal(np.asarray(got), np.asarray(want))
+
+
+def test_p_power_column_is_read_only():
+    p, n = 0.3 * np.exp(0.2j), 17
+    col = kernels._p_powers(complex(p), n)
+    assert col.shape == (n, 1) and not col.flags.writeable
+    with pytest.raises(ValueError):
+        col[0, 0] = 2.0
+    assert kernels._p_powers(complex(p), n) is col
+    assert np.allclose(col[:, 0], p ** np.arange(n), rtol=1e-14, atol=0)

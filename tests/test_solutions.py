@@ -244,3 +244,24 @@ def test_special_point_evaluation_triangular_determinant():
     det = np.linalg.det(M)
     prod = np.prod([wf.P_at_x_closed(l, P) for l in idx])
     assert abs(det - prod) / abs(prod) < 1e-10
+
+
+@pytest.mark.parametrize("flavor", ["B", "C"])
+@pytest.mark.parametrize("ell", [1, 2])
+def test_transition_fit_matches_per_node_solve(flavor, ell):
+    """The fit samples each field once on all nodes; a per-node sample of the
+    same system solves to the same transition matrix."""
+    P = sample_params(6, 2, ell)
+    tau, tau_p = (0, 1), (1, 0)
+    coords = so.tensor_coordinates(flavor, tau, P)
+    coords_p = so.tensor_coordinates(flavor, tau_p, P)
+    dim = len(coords)
+    nodes = so.sample_nodes(1, ell, dim)
+    per_node = lambda cs: np.array([[f(nodes[i : i + 1])[0] for _, f in cs] for i in range(dim)])
+    B = per_node(coords)
+    assert np.linalg.cond(B) < so._COND_CAP
+    cm = np.array([c for c, _ in coords])
+    cp = np.array([c for c, _ in coords_p])
+    ref = np.linalg.solve(B, per_node(coords_p)) * cp[None, :] / cm[:, None]
+    M = so.transition_matrix(flavor, tau, tau_p, P)
+    assert np.linalg.norm(M - ref) <= 1e-12 * np.linalg.norm(ref)

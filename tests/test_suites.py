@@ -3,10 +3,11 @@ reads each suite's default seed from its signature, calls run_suite with a
 seed and a cfg only, and the tracer wraps suites.sample_params by name."""
 
 import inspect
+import json
 
 import pytest
 
-from qkzhyper import cli_params, suites
+from qkzhyper import cli, cli_params, suites
 
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
@@ -36,3 +37,13 @@ def test_sample_params_is_a_suites_module_name():
 
 def test_params_suites_are_the_seeded_suites_but_two():
     assert set(suites.SUITES) - set(suites.ON_PARAMS) == {"asymptotics", "identities"}
+
+
+def test_jackson_records_carry_their_sums_numerics():
+    recs = suites.finalize(suites.jackson_checks(cli_params.sample_params(9, 2, 1, regime="jackson_overlap")))
+    assert [r["id"] for r in recs] == ["jackson-x-(2,1)", "jackson-y-(2,1)"]
+    for r in recs:
+        assert type(r["shells"]) is int and r["shells"] >= 3
+        assert type(r["tail_estimate"]) is float and 0 <= r["tail_estimate"] < r["tol"] * abs(r["rhs"])
+        assert r["status"] == "pass"
+    json.dumps([cli._json_ready(r) for r in recs])
