@@ -646,12 +646,46 @@ _ASCJ_GENERAL_CUTOFF = 40
 _QSELBERG_CUTOFF = 80
 
 
+def _column_product(*blocks):
+    """Row-wise product of the columns of each (T, c) block in turn, from 1:
+    the multiplication order of a per-term loop over the same factors."""
+    out = np.ones(len(blocks[0]), dtype=np.complex128)
+    for block in blocks:
+        for col in block.T:
+            out *= col
+    return out
+
+
+def _pair_ratios(us):
+    """u_k / u_j for the pairs j < k of each row of a (T, ell) array, one
+    column per pair in the order of the double loop over j, then k."""
+    j, k = np.triu_indices(us.shape[1], 1)
+    return us[:, k] / us[:, j]
+
+
+def _askey_singles(us, a, b, alpha, beta, p):
+    """u (pu/a)_inf (pu/b)_inf / ((alpha u)_inf (beta u)_inf) at every entry
+    of a (T, ell) array of lattice points, one kernel call per factor."""
+    qp = lambda u: qpoch(u, p)
+    return us * qp(p * us / a) * qp(p * us / b) / (qp(alpha * us) * qp(beta * us))
+
+
+def _x_pairs(us, x, p):
+    """(1 - r) (pr/x)_inf / (xr)_inf at r = u_k / u_j for the pairs j < k,
+    one kernel call per factor; (T, 0) when ell = 1."""
+    r = _pair_ratios(us)
+    if not r.size:
+        return r
+    return (1 - r) * qpoch(p * r / x, p) / qpoch(x * r, p)
+
+
 def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40):
     """Askey's multidimensional sum: signed two-sided lattice sum vs product.
 
     Same-family lattice pairs make 0/0 pair factors at x = p^m; those are
-    evaluated in the cancelled (x -> p^m limit) form.  Returns
-    (lhs_sum, rhs, report)."""
+    evaluated in the cancelled (x -> p^m limit) form, and only the other
+    pairs reach the kernel.  Each shell is evaluated as one array of
+    lattice points.  Returns (lhs_sum, rhs, report)."""
     if m < 1:
         raise ValueError("m >= 1 (m = 0 degenerates the pair weight)")
     qp = lambda u: qpoch(u, p)
@@ -660,28 +694,25 @@ def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40):
     def v(s):
         return p**s * b if s >= 0 else p ** (-s - 1) * a
 
-    def A(us):
-        out = 1.0 + 0j
-        for k in range(ell):
-            uk = us[k]
-            out *= uk * qp(p * uk / a) * qp(p * uk / b) / (qp(alpha * uk) * qp(beta * uk))
-        for jv in range(ell):
-            for k in range(jv + 1, ell):
-                r = us[k] / us[jv]
-                delta = _p_lattice_exponent(r, p)
-                if delta is None:
-                    out *= qp(p * r / x) / qp(p * x * r)
-                else:
-                    out *= _qpoch_ratio_plattice(1 - m + delta, 1 + m + delta, p)
+    def pair_factors(us):
+        r = _pair_ratios(us)
+        deltas = [_p_lattice_exponent(rv, p) for rv in r.ravel().tolist()]
+        lattice = np.array([d is not None for d in deltas], dtype=bool).reshape(r.shape)
+        out = np.empty_like(r)
+        out[lattice] = [_qpoch_ratio_plattice(1 - m + d, 1 + m + d, p) for d in deltas if d is not None]
+        if not lattice.all():
+            off = r[~lattice]
+            out[~lattice] = qp(p * off / x) / qp(p * x * off)
         return out
 
     def shell_terms(shell):
-        for rs in _signed_shell(ell, shell):
-            us = [v(r) for r in rs]
-            term = (-1.0) ** sum(r < 0 for r in rs) * A(us)
-            for k in range(ell):
-                term *= us[k] ** (2 * m * (ell - 1 - k))
-            yield term
+        rows = list(_signed_shell(ell, shell))
+        us = np.array([[v(r) for r in rs] for rs in rows], dtype=np.complex128)
+        term = np.array([(-1.0) ** sum(r < 0 for r in rs) for rs in rows])
+        term = term * _column_product(_askey_singles(us, a, b, alpha, beta, p), pair_factors(us))
+        for k in range(ell):
+            term *= us[:, k] ** (2 * m * (ell - 1 - k))
+        yield from term.tolist()
 
     total, report = _shell_sum(shell_terms, cutoff, _LATTICE_TOL)
     rhs = p ** (m * m * comb(ell, 3) - comb(m, 2) * comb(ell, 2))
@@ -715,22 +746,18 @@ def _signed_shell(ell, total):
 
 
 def ascj_general_sum(a, b, alpha, beta, x, p, ell):
-    """The j-decomposed generalization with free x; returns (lhs, rhs, report)."""
+    """The j-decomposed generalization with free x; returns (lhs, rhs, report).
+
+    Each shell is evaluated as one array of lattice points, all j at once."""
     qp = lambda u: qpoch(u, p)
     th = lambda u: theta(u, p)
-
-    def Atil(us):
-        out = 1.0 + 0j
-        for k in range(ell):
-            uk = us[k]
-            out *= uk * qp(p * uk / a) * qp(p * uk / b) / (qp(alpha * uk) * qp(beta * uk))
-        for jv in range(ell):
-            for k in range(jv + 1, ell):
-                r = us[k] / us[jv]
-                out *= (1 - r) * qp(p * r / x) / qp(x * r)
-        return out
+    # theta(x^(j+s) a/b) / theta(x^(j-s) a/b) for s < ell - j: depends on j only
+    prefactors = [
+        [th(x ** (j + s) * a / b) / th(x ** (j - s) * a / b) for s in range(ell - j)] for j in range(ell + 1)
+    ]
 
     def shell_terms(shell):
+        rows, scales = [], []
         for j in range(ell + 1):
             for rs in _shell_vectors(ell, shell):
                 us = []
@@ -745,10 +772,14 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell):
                 # (ell-j-1)(ell-j) is even, so the halved exponent is integral
                 expo = sum((ell - 1 - i) * (ell - i) * rs[i] for i in range(ell))
                 expo -= (ell - j - 1) * (ell - j) * (1 + 2 * sum(rs[:j])) // 2
-                term = (-1.0) ** j * x**expo
-                for s in range(ell - j):
-                    term *= th(x ** (j + s) * a / b) / th(x ** (j - s) * a / b)
-                yield term * Atil(us)
+                scale = (-1.0) ** j * x**expo
+                for f in prefactors[j]:
+                    scale *= f
+                rows.append(us)
+                scales.append(scale)
+        us = np.array(rows, dtype=np.complex128)
+        weight = _column_product(_askey_singles(us, a, b, alpha, beta, p), _x_pairs(us, x, p))
+        yield from (np.array(scales, dtype=np.complex128) * weight).tolist()
 
     total, report = _shell_sum(shell_terms, _ASCJ_GENERAL_CUTOFF, _LATTICE_TOL)
     rhs = 1.0 + 0j
@@ -765,22 +796,15 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell):
 
 
 def qselberg_jackson(alpha, u, x, p, ell):
-    """Jackson-sum form of the q-Selberg integral; returns (lhs, rhs, report)."""
+    """Jackson-sum form of the q-Selberg integral; returns (lhs, rhs, report).
+
+    Each shell is evaluated as one array of lattice points."""
     if abs(u) >= min(1.0, abs(x) ** (ell - 1)):
         raise ConvergenceError("need |u| < min(1, |x|^(ell-1))")
     qp = lambda v: qpoch(v, p)
 
-    def S(ts):
-        out = 1.0 + 0j
-        for k in range(ell):
-            out *= qp(p * ts[k]) / qp(alpha * ts[k])
-        for jv in range(ell):
-            for k in range(jv + 1, ell):
-                r = ts[k] / ts[jv]
-                out *= (1 - r) * qp(p * r / x) / qp(x * r)
-        return out
-
     def shell_terms(shell):
+        rows, scales = [], []
         for rs in _shell_vectors(ell, shell):
             ts = []
             cum = 0
@@ -789,7 +813,11 @@ def qselberg_jackson(alpha, u, x, p, ell):
                 ts.append(p**cum * x**i)
             expo_u = sum((ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
             expo_x = -sum((i - 1) * (ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
-            yield u**expo_u * x**expo_x * S(ts)
+            rows.append(ts)
+            scales.append(u**expo_u * x**expo_x)
+        ts = np.array(rows, dtype=np.complex128)
+        weight = _column_product(qp(p * ts) / qp(alpha * ts), _x_pairs(ts, x, p))
+        yield from (np.array(scales, dtype=np.complex128) * weight).tolist()
 
     total, report = _shell_sum(shell_terms, _QSELBERG_CUTOFF, _LATTICE_TOL)
     rhs = 1.0 + 0j

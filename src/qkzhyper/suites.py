@@ -49,6 +49,14 @@ def _res(id_, residual, tol):
     return {"id": id_, "residual": float(residual), "tol": float(tol)}
 
 
+def _sum_val(id_, lhs, rhs, tol, report):
+    """A lattice or Jackson sum's record, carrying the sum's `shells` and
+    `tail_estimate` from its report."""
+    rec = _val(id_, lhs, rhs, tol)
+    rec.update(shells=int(report["shells"]), tail_estimate=float(report["tail_estimate"]))
+    return rec
+
+
 def _binomial_identity(id_):
     """Exact check of combin's binomial identity over j, k, l, m < 7."""
     pairs = (combin.counts("binom_identity", *v) for v in itertools.product(range(7), repeat=4))
@@ -497,9 +505,7 @@ def jackson_checks(P, cfg=None):
     out = []
     for side in ("x", "y"):
         val, report = integrate.jackson_sum(Wf, wfn, P, side=side, cutoff=cut)
-        rec = _val(f"jackson-{side}-{tag}", val, I0, 1e-7)
-        rec.update(shells=int(report["shells"]), tail_estimate=float(report["tail_estimate"]))
-        out.append(rec)
+        out.append(_sum_val(f"jackson-{side}-{tag}", val, I0, 1e-7, report))
     return out
 
 
@@ -750,9 +756,10 @@ def arl_check(a, b, c, alpha, beta, x, p, ell, M, tol):
 
 def ascj_check(a, b, alpha, beta, p, m, ell, cutoff, tol):
     """Askey's lattice sum at x = p^m, summed to shell `cutoff` at most,
-    against its product formula."""
-    s, r, _ = integrate.ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=cutoff)
-    return [_val(f"askey-conjecture-l{ell}-m{m}", s, r, tol)]
+    against its product formula; the record carries the sum's `shells` and
+    `tail_estimate`."""
+    s, r, report = integrate.ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=cutoff)
+    return [_sum_val(f"askey-conjecture-l{ell}-m{m}", s, r, tol, report)]
 
 
 def suite_identities(seed=10, cfg=None):
@@ -771,10 +778,10 @@ def suite_identities(seed=10, cfg=None):
     out += arl_check(a, b, c, al, be, x, p, 2, 128, 1e-8)
     # Askey's conjecture and the q-Selberg Jackson sum
     out += ascj_check(a, b, al, be, 0.25, 1, 2, cutoff=40, tol=1e-8)
-    s, r, _ = integrate.ascj_general_sum(a, b, al, be, draw(0.45), 0.25, 2)
-    out.append(_val("askey-conjecture-general-l2", s, r, 1e-8))
-    s, r, _ = integrate.qselberg_jackson(draw(0.4), draw(0.2), 0.55, 0.3, 2)
-    out.append(_val("qselberg-jackson-l2", s, r, 1e-8))
+    s, r, report = integrate.ascj_general_sum(a, b, al, be, draw(0.45), 0.25, 2)
+    out.append(_sum_val("askey-conjecture-general-l2", s, r, 1e-8, report))
+    s, r, report = integrate.qselberg_jackson(draw(0.4), draw(0.2), 0.55, 0.3, 2)
+    out.append(_sum_val("qselberg-jackson-l2", s, r, 1e-8, report))
     # X-recurrence
     rat, closed = integrate.qselberg_X_ratio(1, a, b, c, x, p, 2, integrate.QuadratureSpec(128))
     out.append(_val("qselberg-X1-X0", rat, closed, 1e-9))

@@ -305,6 +305,129 @@ def test_qselberg_jackson():
         ig.qselberg_jackson(0.4, 0.9, 0.55, 0.3, 2)
 
 
+def _ascj_sum_loop(a, b, alpha, beta, p, m, ell, cutoff=40):
+    """Scalar reference of integrate.ascj_sum's lattice sum, one term at a
+    time with scalar qpoch calls."""
+    qp = lambda u: qpoch(u, p)
+    x = p**m
+    v = lambda s: p**s * b if s >= 0 else p ** (-s - 1) * a
+
+    def A(us):
+        out = 1.0 + 0j
+        for k in range(ell):
+            uk = us[k]
+            out *= uk * qp(p * uk / a) * qp(p * uk / b) / (qp(alpha * uk) * qp(beta * uk))
+        for jv in range(ell):
+            for k in range(jv + 1, ell):
+                r = us[k] / us[jv]
+                delta = ig._p_lattice_exponent(r, p)
+                if delta is None:
+                    out *= qp(p * r / x) / qp(p * x * r)
+                else:
+                    out *= ig._qpoch_ratio_plattice(1 - m + delta, 1 + m + delta, p)
+        return out
+
+    def shell_terms(shell):
+        for rs in ig._signed_shell(ell, shell):
+            us = [v(r) for r in rs]
+            term = (-1.0) ** sum(r < 0 for r in rs) * A(us)
+            for k in range(ell):
+                term *= us[k] ** (2 * m * (ell - 1 - k))
+            yield term
+
+    return ig._shell_sum(shell_terms, cutoff, ig._LATTICE_TOL)[0]
+
+
+def _x_pair_loop(us, x, p):
+    out = 1.0 + 0j
+    for jv in range(len(us)):
+        for k in range(jv + 1, len(us)):
+            r = us[k] / us[jv]
+            out *= (1 - r) * qpoch(p * r / x, p) / qpoch(x * r, p)
+    return out
+
+
+def _ascj_general_sum_loop(a, b, alpha, beta, x, p, ell):
+    """Scalar reference of integrate.ascj_general_sum's lattice sum."""
+    qp = lambda u: qpoch(u, p)
+    th = lambda u: theta(u, p)
+
+    def Atil(us):
+        out = 1.0 + 0j
+        for uk in us:
+            out *= uk * qp(p * uk / a) * qp(p * uk / b) / (qp(alpha * uk) * qp(beta * uk))
+        return out * _x_pair_loop(us, x, p)
+
+    def shell_terms(shell):
+        for j in range(ell + 1):
+            for rs in ig._shell_vectors(ell, shell):
+                us = [p ** sum(rs[: i + 1]) * x**i * a for i in range(j)]
+                us += [p ** sum(rs[j : i + 1]) * x ** (i - j) * b for i in range(j, ell)]
+                expo = sum((ell - 1 - i) * (ell - i) * rs[i] for i in range(ell))
+                expo -= (ell - j - 1) * (ell - j) * (1 + 2 * sum(rs[:j])) // 2
+                term = (-1.0) ** j * x**expo
+                for s in range(ell - j):
+                    term *= th(x ** (j + s) * a / b) / th(x ** (j - s) * a / b)
+                yield term * Atil(us)
+
+    return ig._shell_sum(shell_terms, ig._ASCJ_GENERAL_CUTOFF, ig._LATTICE_TOL)[0]
+
+
+def _qselberg_jackson_loop(alpha, u, x, p, ell):
+    """Scalar reference of integrate.qselberg_jackson's lattice sum."""
+
+    def S(ts):
+        out = 1.0 + 0j
+        for tk in ts:
+            out *= qpoch(p * tk, p) / qpoch(alpha * tk, p)
+        return out * _x_pair_loop(ts, x, p)
+
+    def shell_terms(shell):
+        for rs in ig._shell_vectors(ell, shell):
+            ts = [p ** sum(rs[: i + 1]) * x**i for i in range(ell)]
+            expo_u = sum((ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
+            expo_x = -sum((i - 1) * (ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
+            yield u**expo_u * x**expo_x * S(ts)
+
+    return ig._shell_sum(shell_terms, ig._QSELBERG_CUTOFF, ig._LATTICE_TOL)[0]
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_lattice_sums_match_scalar_reference(ell):
+    rng = np.random.default_rng(40 + ell)
+    a, b, al, be, x, alpha, u = (draw(mod, rng) for mod in (0.3, 0.35, 0.28, 0.31, 0.45, 0.4, 0.2))
+    p = 0.25
+    if ell == 2:
+        # shell 1 holds same-family pairs (u_1 / u_0 = p^delta, the cancelled
+        # lattice limit) and mixed a/b pairs (off the lattice, to the kernel)
+        v = lambda s: p**s * b if s >= 0 else p ** (-s - 1) * a
+        off = {ig._p_lattice_exponent(v(s1) / v(s0), p) is None for s0, s1 in ig._signed_shell(2, 1)}
+        assert off == {True, False}
+    for m in (1, 2):
+        got = ig.ascj_sum(a, b, al, be, p, m, ell)[0]
+        want = _ascj_sum_loop(a, b, al, be, p, m, ell)
+        assert abs(got - want) < 1e-12 * abs(want), (m, got, want)
+    got = ig.ascj_general_sum(a, b, al, be, x, p, ell)[0]
+    want = _ascj_general_sum_loop(a, b, al, be, x, p, ell)
+    assert abs(got - want) < 1e-12 * abs(want)
+    got = ig.qselberg_jackson(alpha, u, 0.55, 0.3, ell)[0]
+    want = _qselberg_jackson_loop(alpha, u, 0.55, 0.3, ell)
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_lattice_sums_l3_product_formulas():
+    rng = np.random.default_rng(5)
+    a, b, al, be, x, alpha, u = (draw(mod, rng) for mod in (0.3, 0.35, 0.28, 0.31, 0.45, 0.4, 0.1))
+    for s, r, rep in (
+        ig.ascj_sum(a, b, al, be, 0.25, 1, 3),
+        ig.ascj_general_sum(a, b, al, be, x, 0.25, 3),
+        # |u| < |x|^2 = 0.3025 is the convergence regime at ell = 3
+        ig.qselberg_jackson(alpha, u, 0.55, 0.3, 3),
+    ):
+        assert abs(s - r) < 1e-10 * abs(r)
+        assert rep["tail_estimate"] < 1e-9 * abs(r)
+
+
 def test_qselberg_X_recurrence():
     a, b, c, x, p = draw(0.35), draw(0.4), draw(1.2), draw(0.42), draw(0.2)
     for k in (1, 2):

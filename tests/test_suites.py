@@ -47,3 +47,14 @@ def test_jackson_records_carry_their_sums_numerics():
         assert type(r["tail_estimate"]) is float and 0 <= r["tail_estimate"] < r["tol"] * abs(r["rhs"])
         assert r["status"] == "pass"
     json.dumps([cli._json_ready(r) for r in recs])
+
+
+def test_lattice_sum_records_carry_their_sums_numerics():
+    ids = ("askey-conjecture-l2-m1", "askey-conjecture-general-l2", "qselberg-jackson-l2")
+    recs = [r for r in suites.finalize(suites.suite_identities()) if "shells" in r]
+    assert tuple(r["id"] for r in recs) == ids
+    for r in recs:
+        assert type(r["shells"]) is int and r["shells"] >= 3
+        assert type(r["tail_estimate"]) is float and 0 <= r["tail_estimate"] < r["tol"] * abs(r["rhs"])
+        assert r["status"] == "pass"
+    json.dumps([cli._json_ready(r) for r in recs])
