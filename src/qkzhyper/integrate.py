@@ -474,23 +474,6 @@ def det_rhs(params, kind="mu_gen"):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def closed_rhs(kind, params=None, **kw):
-    """Dispatch for the closed product formulas."""
-    if kind in ("mu_gen", "mu_plus", "mu_minus"):
-        return det_rhs(params, kind)
-    if kind == "qbeta":
-        return qbeta_rhs(kw["a"], kw["b"], kw["c"], kw["x"], kw["p"], kw["ell"])
-    if kind == "askey_roy":
-        return askey_roy_rhs(kw["a"], kw["b"], kw["c"], kw["alpha"], kw["beta"], kw["p"])
-    if kind == "arl":
-        return arl_rhs(kw["a"], kw["b"], kw["c"], kw["alpha"], kw["beta"], kw["x"], kw["p"], kw["ell"])
-    if kind == "detM":
-        return detM_rhs(params)
-    if kind == "detMq":
-        return detMq_rhs(params)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def qbeta_rhs(a, b, c, x, p, ell):
     qp = lambda u: qpoch(u, p)
     out = TWO_PI_I**ell * factorial(ell)

@@ -144,6 +144,23 @@ def trig_R_block(L1, L2, x, q, w, method="linear_solve"):
     raise ValueError(f"unknown method {method!r}")
 
 
+def trig_R_memo():
+    """trig_R_block memoized for the life of one check.  The key is every
+    argument, the method included, so the linear-solve and spectral
+    constructions never share an entry; each block handed out is read-only."""
+    store = {}
+
+    def block(L1, L2, x, q, w, method="linear_solve"):
+        key = (complex(L1), complex(L2), complex(x), complex(q), int(w), method)
+        if key not in store:
+            R = trig_R_block(L1, L2, x, q, w, method)
+            R.flags.writeable = False
+            store[key] = R
+        return store[key]
+
+    return block
+
+
 def _trig_R_linear(L1, L2, x, q, w):
     R = np.ones((1, 1), dtype=np.complex128)
     for k in range(1, w + 1):
@@ -315,11 +332,12 @@ def qkz_K(m, Lams, q, z, p, Ks, ell):
 def ybe_residual_trig(L1, L2, L3, x, y, q, max_weight):
     """Relative residual of R12(x/y) R13(x) R23(y) = R23(y) R13(x) R12(x/y)."""
     Lams = (L1, L2, L3)
+    block = trig_R_memo()
     worst = 0.0
     for ell in range(max_weight + 1):
         def emb(i, j, arg):
             return embed_pair_op(
-                lambda w: trig_R_block(Lams[i], Lams[j], arg, q, w),
+                lambda w: block(Lams[i], Lams[j], arg, q, w),
                 i, j, Lams, ell,
             )
 
@@ -380,6 +398,9 @@ def ell_coproduct_action(ij, u, lam, mods, eta, p, depth):
     M = np.zeros((d, d), dtype=np.complex128)
     i, j = ij
     T1 = {k: ell_T((k, j), u, lam, L1, x1, eta, p, depth) for k in (1, 2)}
+    # T2[k, k1'] = T_ik(u, eta^(2 H x 1) lam) with the first factor at k1',
+    # built the first time a column needs it
+    T2 = {}
     # (T_kj x 1) acts first, then (1 x T_ik(u, eta^(2 H x 1) lam))
     for col, (k1, k2) in enumerate(basis):
         for k in (1, 2):
@@ -388,9 +409,11 @@ def ell_coproduct_action(ij, u, lam, mods, eta, p, depth):
                 c1 = Tkj[k1p, k1]
                 if c1 == 0:
                     continue
-                mu1 = L1 - k1p
-                lam2 = lam * cmath.exp(2 * mu1 * cmath.log(eta))
-                Tik = ell_T((i, k), u, lam2, L2, x2, eta, p, depth)
+                if (k, k1p) not in T2:
+                    mu1 = L1 - k1p
+                    lam2 = lam * cmath.exp(2 * mu1 * cmath.log(eta))
+                    T2[k, k1p] = ell_T((i, k), u, lam2, L2, x2, eta, p, depth)
+                Tik = T2[k, k1p]
                 for k2p in range(depth + 1):
                     c2 = Tik[k2p, k2]
                     if c2 != 0:

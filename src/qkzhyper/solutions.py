@@ -115,9 +115,9 @@ def detM_numeric(params, flavor="trig"):
 # the dynamical elliptic R-matrix from transition matrices
 
 
-def ell_R_from_transition(L1, L2, x, lam, ell_max, p, eta, seed=5, z1=None):
-    """Blocks of the dynamical elliptic R-matrix R^ell_{V^L1 V^L2}(x, lam),
-    one per total weight w <= ell_max, from the elliptic transition matrices.
+def ell_R_block(L1, L2, x, lam, w, p, eta, seed=5, z1=None):
+    """Weight-w block of the dynamical elliptic R-matrix R^ell_{V^L1 V^L2}(x,
+    lam), from the elliptic transition matrix at total weight w; read-only.
 
     The scaling parameter is resolved per block through the weight
     dictionary kappa(w) = lam xi_1 xi_2 eta^(-w), the gauge in which the
@@ -126,20 +126,27 @@ def ell_R_from_transition(L1, L2, x, lam, ell_max, p, eta, seed=5, z1=None):
     eta-rescaling of lam that the dynamical Yang-Baxter equation and the
     inversion relation cannot see).
     """
-    le = cmath.log(eta)
-    xi1 = cmath.exp(L1 * le)
-    xi2 = cmath.exp(L2 * le)
-    z2 = cmath.exp(0.31j) if z1 is None else z1 / x
-    zz = (x * z2, z2)
-    blocks = [np.ones((1, 1), dtype=np.complex128)]
-    for w in range(1, ell_max + 1):
+    if w == 0:
+        block = np.ones((1, 1), dtype=np.complex128)
+    else:
+        le = cmath.log(eta)
+        xi1 = cmath.exp(L1 * le)
+        xi2 = cmath.exp(L2 * le)
+        z2 = cmath.exp(0.31j) if z1 is None else z1 / x
         kap = lam * xi1 * xi2 * eta ** (-w)
-        prm = ParameterSet(p=p, eta=eta, kappa=kap, xi=(xi1, xi2), z=zz, n=2, ell=w)
+        prm = ParameterSet(p=p, eta=eta, kappa=kap, xi=(xi1, xi2), z=(x * z2, z2), n=2, ell=w)
         # monomial coordinates are degrees on the modules, so the adjacent
         # transition IS the R-matrix block (the permutation is the
         # tautological slot relabeling)
-        blocks.append(transition_matrix("C", (1, 0), (0, 1), prm, seed=seed))
-    return blocks
+        block = transition_matrix("C", (1, 0), (0, 1), prm, seed=seed)
+    block.flags.writeable = False
+    return block
+
+
+def ell_R_from_transition(L1, L2, x, lam, ell_max, p, eta, seed=5, z1=None):
+    """Blocks of R^ell_{V^L1 V^L2}(x, lam), one per total weight
+    w <= ell_max (see ell_R_block)."""
+    return [ell_R_block(L1, L2, x, lam, w, p, eta, seed, z1) for w in range(ell_max + 1)]
 
 
 def lambda_from_kappa(kappa, w, xi1, xi2, eta):
@@ -149,13 +156,13 @@ def lambda_from_kappa(kappa, w, xi1, xi2, eta):
 
 def ell_R_evaluator(L1, L2, p, eta):
     """Callable (x, lam, w) -> weight-w block of R^ell_{V^L1 V^L2}(x, lam),
-    memoized per evaluator."""
+    memoized per evaluator: each (x, lam, w) block is built once."""
     store = {}
 
     def ev(x, lam, w):
         key = (complex(x), complex(lam), int(w))
         if key not in store:
-            store[key] = ell_R_from_transition(L1, L2, x, lam, w, p, eta)[w]
+            store[key] = ell_R_block(L1, L2, x, lam, w, p, eta)
         return store[key]
 
     return ev

@@ -256,19 +256,21 @@ _DRAWS = 10  # draws of the rmatrix and qkz suites
 
 def rmatrix_pair_checks(L1, L2, x, q, k=0):
     """Trig R(x) on V^L1 (x) V^L2 in weights 1..3: the two constructions
-    agree, it inverts against R21(1/x), and it intertwines E."""
+    agree, it inverts against R21(1/x), and it intertwines E.  Each block
+    is built once for the three checks."""
+    block = repthy.trig_R_memo()
     worst_m = inv_w = 0.0
     for w in (1, 2, 3):
-        Ra = repthy.trig_R_block(L1, L2, x, q, w, "linear_solve")
-        Rb = repthy.trig_R_block(L1, L2, x, q, w, "spectral")
-        R21 = repthy.trig_R_block(L2, L1, 1 / x, q, w)
+        Ra = block(L1, L2, x, q, w, "linear_solve")
+        Rb = block(L1, L2, x, q, w, "spectral")
+        R21 = block(L2, L1, 1 / x, q, w)
         Pm = repthy.perm_matrix(w)
         worst_m = max(worst_m, np.linalg.norm(Ra - Rb) / np.linalg.norm(Ra))
         inv_w = max(inv_w, np.linalg.norm(Pm @ Ra - np.linalg.inv(R21) @ Pm) / np.linalg.norm(Pm @ Ra))
     return [
         _res(f"R-two-methods-{k}", worst_m, 1e-10),
         _res(f"R-inversion-{k}", inv_w, 1e-10),
-        _res(f"R-intertwining-{k}", _rmore_residual(L1, L2, x, q, 3), 1e-10),
+        _res(f"R-intertwining-{k}", _rmore_residual(L1, L2, x, q, 3, block), 1e-10),
     ]
 
 
@@ -291,11 +293,14 @@ def suite_rmatrix(seed=3, cfg=None):
     return out
 
 
-def _rmore_residual(L1, L2, x, q, wmax):
+def _rmore_residual(L1, L2, x, q, wmax, block):
+    """Worst relative residual of R(x) Delta(E) = Delta'(E) R(x), and of
+    its x-twisted pair, on the maps from weight w to w - 1, 1 <= w <= wmax;
+    `block` is a repthy.trig_R_memo."""
     worst = 0.0
     for w in range(1, wmax + 1):
-        Rw = repthy.trig_R_block(L1, L2, x, q, w)
-        Rwm = repthy.trig_R_block(L1, L2, x, q, w - 1)
+        Rw = block(L1, L2, x, q, w)
+        Rwm = block(L1, L2, x, q, w - 1)
         src = repthy.tensor_basis(2, w)
         dst = repthy.tensor_basis(2, w - 1)
         idx = {v: i for i, v in enumerate(dst)}
@@ -580,7 +585,7 @@ def transition_adjacent_checks(P, seed=1, r_seed=5):
     R = repthy.trig_R_block(L[0], L[1], x, P.q, ell)
     C = solutions.transition_matrix("C", (1, 0), (0, 1), P, seed=seed)
     lam = solutions.lambda_from_kappa(P.kappa, ell, P.xi[0], P.xi[1], P.eta)
-    Rq = solutions.ell_R_from_transition(L[0], L[1], x, lam, ell, P.p, P.eta, seed=r_seed)[ell]
+    Rq = solutions.ell_R_block(L[0], L[1], x, lam, ell, P.p, P.eta, seed=r_seed)
     return [
         _res(f"transition-trig-adjacent-l{ell}", np.linalg.norm(B - R.T) / np.linalg.norm(R), 1e-7),
         _res(f"transition-ell-adjacent-l{ell}", np.linalg.norm(C - Rq) / np.linalg.norm(Rq), 1e-7),
@@ -633,7 +638,7 @@ def elliptic_R_checks(seed):
     coeffs = repthy.rpr_matrix_params(L1, L2, q, kappa)
     M = repthy.rpr_middle_matrix(coeffs, x, p)
     lam1 = solutions.lambda_from_kappa(kappa, 1, xi1, xi2, eta)
-    R1 = solutions.ell_R_from_transition(L1, L2, x, lam1, 1, p, eta)[1]
+    R1 = solutions.ell_R_block(L1, L2, x, lam1, 1, p, eta)
     out.append(
         _val("ell-R-rpr-weight1-invariant", repthy.cross_ratio(M), repthy.cross_ratio(R1), 1e-6)
     )
@@ -673,17 +678,20 @@ def intertwining_residual(L1, L2, x, lam, p, eta):
                 M[idx_out[(kbp_, kap_)], col] += blocks[w][pidx[(kap_, kbp_)], pidx[(ka, kb)]]
         return M
 
+    # P R(x, lam) at the three dynamical arguments the relations meet: lam,
+    # and lam shifted by eta for T_i1 or by 1/eta for T_i2
+    phi = phi_matrix(lam)
+    phi_shifted = {j: phi_matrix(lam * (eta if j == 1 else 1 / eta)) for j in (1, 2)}
     xx = 1.1 * np.exp(0.5j)
     yy = xx / x
     u = 1.4 * np.exp(0.9j)
     worst = 0.0
     for ij in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        sh = eta if ij[1] == 1 else 1 / eta
         dj = ij[1] - ij[0]
         _, M12 = repthy.ell_coproduct_action(ij, u, lam, ((L1, xx), (L2, yy)), eta, p, depth)
         _, M21 = repthy.ell_coproduct_action(ij, u, lam, ((L2, yy), (L1, xx)), eta, p, depth)
-        Lfull = phi_matrix(lam) @ M12
-        Rfull = M21 @ phi_matrix(lam * sh)
+        Lfull = phi @ M12
+        Rfull = M21 @ phi_shifted[ij[1]]
         rows = [r for r, (a, b) in enumerate(bas) if a + b <= wmax]
         cols = [c for c, (a, b) in enumerate(bas) if a + b <= wmax and 0 <= a + b + dj <= wmax]
         D = (Lfull - Rfull)[np.ix_(rows, cols)]

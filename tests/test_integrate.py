@@ -499,16 +499,3 @@ def test_residue_vs_annulus_quadrature():
     Iout, Iin = ring(r_out), ring(r_in)
     want = (Iout - Iin) / (2j * np.pi)
     assert abs(got - want) / abs(want) < 1e-9
-
-
-def test_closed_rhs_dispatcher():
-    P = sample_params(71, 2, 1)
-    assert ig.closed_rhs("mu_gen", P) == ig.det_rhs(P, "mu_gen")
-    assert ig.closed_rhs("detM", P) == ig.detM_rhs(P)
-    assert ig.closed_rhs("detMq", P) == ig.detMq_rhs(P)
-    v = ig.closed_rhs("qbeta", a=0.3, b=0.35, c=1.1, x=0.4, p=0.2, ell=2)
-    assert v == ig.qbeta_rhs(0.3, 0.35, 1.1, 0.4, 0.2, 2)
-    v = ig.closed_rhs("askey_roy", a=0.3, b=0.35, c=1.1, alpha=0.3, beta=0.28, p=0.2)
-    assert v == ig.askey_roy_rhs(0.3, 0.35, 1.1, 0.3, 0.28, 0.2)
-    with pytest.raises(ValueError):
-        ig.closed_rhs("nonsense")

@@ -106,10 +106,25 @@ def test_ratio_kernels_match_plain():
 
 
 def test_ratio_kernel_survives_huge_arguments():
+    """Both kernel paths: one point takes the factor matrix, and an array
+    whose work is above _SMALL_WORK takes the term loop.  The single
+    products overflow; the paired ratios stay finite and accurate."""
     p = 0.01
-    a = np.array([1e80 + 0j])
-    r = theta_ratio(a, 2.0 * a, p)
-    assert np.isfinite(r).all()
+    nterms = DEFAULT_POLICY.nterms(p, 2e80)
+    rng = np.random.default_rng(5)
+    for n in (1, kernels._SMALL_WORK // nterms + 1):
+        a = 1e80 * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        b = 2e80 * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        r, tr = qpoch_ratio(a, b, p), theta_ratio(a, b, p)
+        assert np.isfinite(r).all() and np.isfinite(tr).all()
+        with mpmath.workdps(40):
+            mp_p = mpmath.mpc(p)
+            qp = lambda x: mpmath.qp(mpmath.mpc(x), mp_p)
+            for i in rng.choice(n, size=min(n, 4), replace=False):
+                ref = qp(a[i]) / qp(b[i])
+                assert _rel(r[i], ref) < ORACLE_TOL
+                assert _rel(tr[i], ref * qp(p / a[i]) / qp(p / b[i])) < ORACLE_TOL
+    assert n * nterms > kernels._SMALL_WORK
 
 
 def test_policy_determinism_and_cap():
