@@ -191,6 +191,22 @@ def _emit(doc, path):
             json.dump(doc, fh, indent=2)
 
 
+def _int_at_least(lo):
+    """argparse type: an int >= lo, else a usage error (exit 2)."""
+
+    def parse(text):
+        v = int(text)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {v}")
+        return v
+
+    parse.__name__ = "positive int" if lo == 1 else "non-negative int"
+    return parse
+
+
+_positive, _non_negative = _int_at_least(1), _int_at_least(0)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="qkzhyper", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -199,17 +215,17 @@ def build_parser():
     v.add_argument("suite", help="|".join(sorted(SUITES)))
     v.add_argument("--params", help="JSON parameter file")
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--grid", type=int, default=None)
-    v.add_argument("--cutoff", type=int, default=60)
+    v.add_argument("--grid", type=_positive, default=None)
+    v.add_argument("--cutoff", type=_non_negative, default=60)
     v.add_argument("--report", help="write a JSON report here")
     v.set_defaults(fn=cmd_verify)
 
     t = sub.add_parser("table", help="LHS/RHS table for one identity over a seed grid")
     t.add_argument("identity", help="|".join(TABLE_IDENTITIES))
     t.add_argument("--seed", type=int, default=1)
-    t.add_argument("--rows", type=int, default=3)
+    t.add_argument("--rows", type=_positive, default=3)
     t.add_argument("--tol", type=float, default=1e-8)
-    t.add_argument("--cutoff", type=int, default=40)
+    t.add_argument("--cutoff", type=_non_negative, default=40)
     t.add_argument("--report")
     t.set_defaults(fn=cmd_table)
 

@@ -17,16 +17,12 @@ def index_vectors(n, ell):
     """All of Z(n, ell) in lexicographic order; length C(n+ell-1, n-1)."""
     if n < 1 or ell < 0:
         raise ValueError("need n >= 1, ell >= 0")
-
-    def rec(k, rest):
-        if k == 1:
-            yield (rest,)
-            return
-        for first in range(rest + 1):
-            for tail in rec(k - 1, rest - first):
-                yield (first,) + tail
-
-    return [tuple(v) for v in rec(n, ell)]
+    # stars and bars: the n - 1 bar positions among ell + n - 1 slots, in
+    # lexicographic order, give the parts in lexicographic order
+    return [
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (ell + n - 1,)))
+        for bars in itertools.combinations(range(ell + n - 1), n - 1)
+    ]
 
 
 def partial_sums(l):

@@ -356,7 +356,7 @@ def jackson_sum(Wf, wf, params, side="x", cutoff=60):
 
     def shell_terms(shell):
         for mvec in combin.index_vectors(n, ell):
-            for svec in _shell_vectors(ell, shell):
+            for svec in combin.index_vectors(ell, shell):
                 sh = svec if side == "x" else tuple(-v for v in svec)
                 pt = weightfn.special_point(mvec, params, side, sh)
                 yield _residue_at(integrand, pt, params)
@@ -364,15 +364,6 @@ def jackson_sum(Wf, wf, params, side="x", cutoff=60):
     total, report = _shell_sum(shell_terms, cutoff, _JACKSON_TOL)
     report["tail_estimate"] *= abs(TWO_PI_I**ell * factorial(ell))
     return sign * TWO_PI_I**ell * factorial(ell) * total, report
-
-
-def _shell_vectors(ell, total):
-    if ell == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _shell_vectors(ell - 1, total - first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +733,7 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell):
     def shell_terms(shell):
         rows, scales = [], []
         for j in range(ell + 1):
-            for rs in _shell_vectors(ell, shell):
+            for rs in combin.index_vectors(ell, shell):
                 us = []
                 cum = 0
                 for i in range(j):
@@ -788,7 +779,7 @@ def qselberg_jackson(alpha, u, x, p, ell):
 
     def shell_terms(shell):
         rows, scales = [], []
-        for rs in _shell_vectors(ell, shell):
+        for rs in combin.index_vectors(ell, shell):
             ts = []
             cum = 0
             for i in range(ell):

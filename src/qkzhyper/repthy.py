@@ -11,22 +11,12 @@ fixed k_1 + ... + k_n, ordered lexicographically (combin.index_vectors).
 """
 
 import cmath
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import combin
 from .errors import ResonanceError
 from .numkernel import theta, qpoch
-
-
-@dataclass(frozen=True)
-class VermaSpec:
-    """Verma module with highest weight q^Lam, truncated at depth F^depth v."""
-
-    Lam: complex
-    depth: int = 8
 
 
 def q_pow(q, expo):
@@ -44,91 +34,51 @@ def e_coeff(k, Lam, q):
     return acc
 
 
-def tensor_basis(n, ell):
-    return combin.index_vectors(n, ell)
-
-
-def op_qH(specs, ell, q):
+def op_qH(Lams, ell, q):
     """Scalar of q^H on the weight-ell block: q^(sum Lam - ell)."""
-    s = sum(v.Lam for v in specs)
-    return q_pow(q, s - ell)
+    return q_pow(q, sum(Lams) - ell)
 
 
-def _weight_factor(specs, ks, q, rng, sign):
+def _weight_factor(Lams, ks, q, rng, sign):
     out = 1.0 + 0j
     for i in rng:
-        out *= q_pow(q, sign * (specs[i].Lam - ks[i]))
+        out *= q_pow(q, sign * (Lams[i] - ks[i]))
     return out
 
 
-def op_E(specs, ell, q, z=None):
+def _ladder_op(Lams, ell, q, z, step):
+    """Matrix of Delta(E) (step -1) or Delta(F) (step +1) from block ell to
+    block ell + step on the Verma modules of highest weights Lams:
+    Delta(X) = sum q^H x..x X_m x q^-H x.., and with z given the twisted
+    X_z = sum q^-H x..x z_m X x q^H x.."""
+    n = len(Lams)
+    src = combin.index_vectors(n, ell)
+    idx = {v: i for i, v in enumerate(combin.index_vectors(n, ell + step))}
+    sign = +1 if z is None else -1
+    M = np.zeros((len(idx), len(src)), dtype=np.complex128)
+    for j, ks in enumerate(src):
+        for m in range(n):
+            if ks[m] + step < 0:
+                continue
+            out = list(ks)
+            out[m] += step
+            coeff = e_coeff(ks[m], Lams[m], q) if step < 0 else 1.0 + 0j
+            if z is not None:
+                coeff *= z[m]
+            coeff *= _weight_factor(Lams, ks, q, range(m), sign)
+            coeff *= _weight_factor(Lams, out, q, range(m + 1, n), -sign)
+            M[idx[tuple(out)], j] += coeff
+    return M
+
+
+def op_E(Lams, ell, q, z=None):
     """Matrix of E (or E_z when z is given) from block ell to block ell-1."""
-    n = len(specs)
-    src = tensor_basis(n, ell)
-    dst = tensor_basis(n, ell - 1)
-    idx = {v: i for i, v in enumerate(dst)}
-    M = np.zeros((len(dst), len(src)), dtype=np.complex128)
-    for j, ks in enumerate(src):
-        for m in range(n):
-            if ks[m] == 0:
-                continue
-            out = list(ks)
-            out[m] -= 1
-            coeff = e_coeff(ks[m], specs[m].Lam, q)
-            if z is None:
-                # Delta(E) = sum q^H x..x E_m x q^-H x..
-                coeff *= _weight_factor(specs, ks, q, range(m), +1)
-                coeff *= _weight_factor(specs, out, q, range(m + 1, n), -1)
-            else:
-                # E_z = sum q^-H x..x z_m E x q^H x..
-                coeff *= z[m]
-                coeff *= _weight_factor(specs, ks, q, range(m), -1)
-                coeff *= _weight_factor(specs, out, q, range(m + 1, n), +1)
-            M[idx[tuple(out)], j] += coeff
-    return M
+    return _ladder_op(Lams, ell, q, z, -1)
 
 
-def op_F(specs, ell, q, z=None):
+def op_F(Lams, ell, q, z=None):
     """Matrix of F (or F_z) from block ell to block ell+1."""
-    n = len(specs)
-    src = tensor_basis(n, ell)
-    dst = tensor_basis(n, ell + 1)
-    idx = {v: i for i, v in enumerate(dst)}
-    M = np.zeros((len(dst), len(src)), dtype=np.complex128)
-    for j, ks in enumerate(src):
-        for m in range(n):
-            if ks[m] + 1 > specs[m].depth:
-                continue
-            out = list(ks)
-            out[m] += 1
-            coeff = 1.0 + 0j
-            if z is None:
-                coeff *= _weight_factor(specs, ks, q, range(m), +1)
-                coeff *= _weight_factor(specs, out, q, range(m + 1, n), -1)
-            else:
-                coeff *= z[m]
-                coeff *= _weight_factor(specs, ks, q, range(m), -1)
-                coeff *= _weight_factor(specs, out, q, range(m + 1, n), +1)
-            M[idx[tuple(out)], j] += coeff
-    return M
-
-
-def uq_op(kind, specs, ell, q, z=None):
-    if kind == "E":
-        return op_E(specs, ell, q)
-    if kind == "F":
-        return op_F(specs, ell, q)
-    if kind == "E_z":
-        return op_E(specs, ell, q, z=z)
-    if kind == "F_z":
-        return op_F(specs, ell, q, z=z)
-    if kind == "qH":
-        d = len(tensor_basis(len(specs), ell))
-        return op_qH(specs, ell, q) * np.eye(d, dtype=np.complex128)
-    if kind == "qH_inv":
-        d = len(tensor_basis(len(specs), ell))
-        return np.eye(d, dtype=np.complex128) / op_qH(specs, ell, q)
-    raise ValueError(f"unknown kind {kind!r}")
+    return _ladder_op(Lams, ell, q, z, +1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +114,8 @@ def trig_R_memo():
 def _trig_R_linear(L1, L2, x, q, w):
     R = np.ones((1, 1), dtype=np.complex128)
     for k in range(1, w + 1):
-        src = tensor_basis(2, k - 1)
-        dst = tensor_basis(2, k)
+        src = combin.index_vectors(2, k - 1)
+        dst = combin.index_vectors(2, k)
         idx = {v: i for i, v in enumerate(dst)}
 
         def op(c_qH_on_2, c_qH_on_1, xmul):
@@ -193,10 +143,9 @@ def _trig_R_linear(L1, L2, x, q, w):
 
 def _singular_vector(L1, L2, q, l):
     """Kernel of E on the pair block l (1-dimensional for generic weights)."""
-    specs = (VermaSpec(L1, l + 1), VermaSpec(L2, l + 1))
     if l == 0:
         return np.array([1.0 + 0j])
-    E = op_E(specs, l, q)
+    E = op_E((L1, L2), l, q)
     u, s, vh = np.linalg.svd(E)
     tol = 1e-8 * max(float(s[0]) if s.size else 0.0, 1.0)
     rank = int((s > tol).sum())
@@ -208,7 +157,7 @@ def _singular_vector(L1, L2, q, l):
 def _r_infinity(L1, L2, q, w):
     """R(infinity) = q^(2 L1 L2 - 2 H x H) sum_k (q^2-1)^(2k)
     prod_{s<=k}(1-q^(2s))^-1 (q^-H E x q^H F)^k on the pair block w."""
-    basis = tensor_basis(2, w)
+    basis = combin.index_vectors(2, w)
     d = len(basis)
     idx = {v: i for i, v in enumerate(basis)}
     out = np.zeros((d, d), dtype=np.complex128)
@@ -236,7 +185,7 @@ def _r_infinity(L1, L2, q, w):
 
 
 def _trig_R_spectral(L1, L2, x, q, w):
-    basis = tensor_basis(2, w)
+    basis = combin.index_vectors(2, w)
     d = len(basis)
     # columns: F^(w-l) s_l spanning the block, l = 0..w
     cols = []
@@ -244,8 +193,7 @@ def _trig_R_spectral(L1, L2, x, q, w):
         v = _singular_vector(L1, L2, q, l)
         vec = v
         for k in range(l, w):
-            specs = (VermaSpec(L1, w + 1), VermaSpec(L2, w + 1))
-            vec = op_F(specs, k, q) @ vec
+            vec = op_F((L1, L2), k, q) @ vec
         cols.append(vec)
     B = np.array(cols).T
     eig = []
@@ -263,7 +211,7 @@ def perm_matrix(ell):
 
     Row basis is indexed by (k2', k1') of V2 x V1.
     """
-    basis = tensor_basis(2, ell)
+    basis = combin.index_vectors(2, ell)
     d = len(basis)
     idx = {v: i for i, v in enumerate(basis)}
     P = np.zeros((d, d), dtype=np.complex128)
@@ -276,56 +224,51 @@ def perm_matrix(ell):
 # qKZ operators
 
 
-def embed_pair_op(block_fn, i, j, Lams, ell):
-    """Operator acting as block_fn(w) on the (i, j) pair (module order V_i, V_j)
-    and trivially elsewhere, on the weight-ell block of the n-fold product."""
-    n = len(Lams)
-    basis = tensor_basis(n, ell)
-    d = len(basis)
-    idx = {v: i2 for i2, v in enumerate(basis)}
-    M = np.zeros((d, d), dtype=np.complex128)
-    cache = {}
+def embed_pair_op(basis, i, j, block_fn):
+    """Operator on the span of `basis` (degree vectors of the tensor product)
+    acting on the (i, j) pair, in module order V_i, V_j, and trivially
+    elsewhere.  block_fn(ks) -> (block, pair_basis): the pair block met by
+    the column ks, over the pair degree vectors of weight ks[i] + ks[j]."""
+    idx = {v: r for r, v in enumerate(basis)}
+    M = np.zeros((len(basis), len(basis)), dtype=np.complex128)
     for col, ks in enumerate(basis):
-        w = ks[i] + ks[j]
-        if w not in cache:
-            cache[w] = (block_fn(w), tensor_basis(2, w))
-        blk, pair_basis = cache[w]
-        pidx = {v: a for a, v in enumerate(pair_basis)}
-        src = pidx[(ks[i], ks[j])]
+        blk, pair_basis = block_fn(ks)
+        src = pair_basis.index((ks[i], ks[j]))
         for a, (ki, kj) in enumerate(pair_basis):
             c = blk[a, src]
-            if c == 0:
-                continue
-            out = list(ks)
-            out[i], out[j] = ki, kj
-            M[idx[tuple(out)], col] += c
+            if c != 0:
+                out = list(ks)
+                out[i], out[j] = ki, kj
+                M[idx[tuple(out)], col] += c
     return M
 
 
-def qkz_K(m, Lams, q, z, p, Ks, ell):
+def _trig_embedding(basis, i, j, Lams, arg, q, block):
+    """R_{V_i V_j}(arg) on the (i, j) pair; `block` is a trig_R_memo."""
+
+    def block_fn(ks):
+        w = ks[i] + ks[j]
+        return block(Lams[i], Lams[j], arg, q, w), combin.index_vectors(2, w)
+
+    return embed_pair_op(basis, i, j, block_fn)
+
+
+def qkz_K(m, Lams, q, z, p, Ks, ell, block):
     """qKZ operator K_m(z) on the weight-ell block of V_1 x ... x V_n.
 
     K_m = R_{m,m-1}(p z_m/z_{m-1}) .. R_{m,1}(p z_m/z_1) Ks^(Lam_m - H_m)
           R_{m,n}(z_m/z_n) .. R_{m,m+1}(z_m/z_{m+1});
-    the rightmost factor acts first.
+    the rightmost factor acts first.  `block` is a trig_R_memo.
     """
     n = len(Lams)
-    basis = tensor_basis(n, ell)
-    d = len(basis)
-
-    def rfac(j, arg):
-        return embed_pair_op(
-            lambda w, a=arg, Lj=Lams[j]: trig_R_block(Lams[m], Lj, a, q, w),
-            m, j, Lams, ell,
-        )
-
-    M = np.eye(d, dtype=np.complex128)
+    basis = combin.index_vectors(n, ell)
+    M = np.eye(len(basis), dtype=np.complex128)
     for j in range(m + 1, n):
-        M = rfac(j, z[m] / z[j]) @ M
+        M = _trig_embedding(basis, m, j, Lams, z[m] / z[j], q, block) @ M
     ks_diag = np.array([q_pow(Ks, ks[m]) for ks in basis], dtype=np.complex128)
     M = np.diag(ks_diag) @ M
     for j in range(0, m):
-        M = rfac(j, p * z[m] / z[j]) @ M
+        M = _trig_embedding(basis, m, j, Lams, p * z[m] / z[j], q, block) @ M
     return M
 
 
@@ -335,13 +278,11 @@ def ybe_residual_trig(L1, L2, L3, x, y, q, max_weight):
     block = trig_R_memo()
     worst = 0.0
     for ell in range(max_weight + 1):
-        def emb(i, j, arg):
-            return embed_pair_op(
-                lambda w: block(Lams[i], Lams[j], arg, q, w),
-                i, j, Lams, ell,
-            )
-
-        R12, R13, R23 = emb(0, 1, x / y), emb(0, 2, x), emb(1, 2, y)
+        basis = combin.index_vectors(3, ell)
+        R12, R13, R23 = (
+            _trig_embedding(basis, i, j, Lams, arg, q, block)
+            for i, j, arg in ((0, 1, x / y), (0, 2, x), (1, 2, y))
+        )
         lhs = R12 @ R13 @ R23
         rhs = R23 @ R13 @ R12
         scale = max(np.linalg.norm(lhs), 1e-300)
@@ -460,27 +401,17 @@ def dynamical_ybe_residual(
     worst = 0.0
     for ell in range(max_weight + 1):
         basis = graded_basis(3, ell, depths)
-        d = len(basis)
-        idx = {v: i for i, v in enumerate(basis)}
 
         def emb(ev, i, j, other, arg, shift_on_other):
-            M = np.zeros((d, d), dtype=np.complex128)
-            for col, ks in enumerate(basis):
+            pd = None if depths is None else (depths[i], depths[j])
+
+            def block_fn(ks):
                 mu = L[other] - ks[other]
                 lam_eff = lam * cmath.exp(2 * mu * cmath.log(eta)) if shift_on_other else lam
                 w = ks[i] + ks[j]
-                blk = ev(arg, lam_eff, w)
-                pd = None if depths is None else (depths[i], depths[j])
-                pb = graded_basis(2, w, pd)
-                pidx = {v: a for a, v in enumerate(pb)}
-                src = pidx[(ks[i], ks[j])]
-                for a, (ki, kj) in enumerate(pb):
-                    c = blk[a, src]
-                    if c != 0:
-                        out = list(ks)
-                        out[i], out[j] = ki, kj
-                        M[idx[tuple(out)], col] += c
-            return M
+                return ev(arg, lam_eff, w), graded_basis(2, w, pd)
+
+            return embed_pair_op(basis, i, j, block_fn)
 
         lhs = (
             emb(R12_eval, 0, 1, 2, x / y, True)

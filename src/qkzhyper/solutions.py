@@ -143,12 +143,6 @@ def ell_R_block(L1, L2, x, lam, w, p, eta, seed=5, z1=None):
     return block
 
 
-def ell_R_from_transition(L1, L2, x, lam, ell_max, p, eta, seed=5, z1=None):
-    """Blocks of R^ell_{V^L1 V^L2}(x, lam), one per total weight
-    w <= ell_max (see ell_R_block)."""
-    return [ell_R_block(L1, L2, x, lam, w, p, eta, seed, z1) for w in range(ell_max + 1)]
-
-
 def lambda_from_kappa(kappa, w, xi1, xi2, eta):
     """Dynamical argument of the weight-w block reached from scaling kappa."""
     return kappa * eta**w / (xi1 * xi2)
@@ -212,11 +206,12 @@ def qkz_residual(l_index, params):
     Lams = params.Lambda
     tau = tuple(range(n))
     psi0 = psi_solution(l_index, tau, params)
+    block = repthy.trig_R_memo()
     worst = 0.0
     for m in range(n):
         shifted = params.shift_z(m)
         psi_m = psi_solution(l_index, tau, shifted)
-        K = repthy.qkz_K(m, Lams, q, params.z, params.p, params.kappa, ell)
+        K = repthy.qkz_K(m, Lams, q, params.z, params.p, params.kappa, ell, block)
         resid = np.linalg.norm(psi_m - K @ psi0) / max(np.linalg.norm(psi_m), 1e-300)
         worst = max(worst, resid)
     return worst
@@ -225,9 +220,8 @@ def qkz_residual(l_index, params):
 def singular_residual(l_index, params):
     """|E Psi| / |Psi| at kappa = eta^(1-ell) prod xi (singular-subspace values)."""
     n, ell = params.n, params.ell
-    specs = tuple(repthy.VermaSpec(L, ell + 1) for L in params.Lambda)
     psi0 = psi_solution(l_index, tuple(range(n)), params)
-    E = repthy.op_E(specs, ell, params.q)
+    E = repthy.op_E(params.Lambda, ell, params.q)
     return np.linalg.norm(E @ psi0) / max(np.linalg.norm(psi0), 1e-300)
 
 

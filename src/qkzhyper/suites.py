@@ -301,8 +301,8 @@ def _rmore_residual(L1, L2, x, q, wmax, block):
     for w in range(1, wmax + 1):
         Rw = block(L1, L2, x, q, w)
         Rwm = block(L1, L2, x, q, w - 1)
-        src = repthy.tensor_basis(2, w)
-        dst = repthy.tensor_basis(2, w - 1)
+        src = combin.index_vectors(2, w)
+        dst = combin.index_vectors(2, w - 1)
         idx = {v: i for i, v in enumerate(dst)}
 
         def eop(c2, c1, xmul=1.0):
@@ -330,8 +330,9 @@ def _rmore_residual(L1, L2, x, q, wmax, block):
 
 def qkz_flatness_check(P, Ks, k=0):
     """The qKZ operators with multiplier Ks commute along every pair of
-    shifted z_l, z_m."""
+    shifted z_l, z_m.  Each trig R block is built once for the check."""
     n, ell, Lams, q = P.n, P.ell, P.Lambda, P.q
+    block = repthy.trig_R_memo()
     worst = 0.0
     for lidx in range(n):
         for midx in range(lidx + 1, n):
@@ -339,10 +340,10 @@ def qkz_flatness_check(P, Ks, k=0):
             zl[lidx] *= P.p
             zm = list(P.z)
             zm[midx] *= P.p
-            Kl_shift = repthy.qkz_K(lidx, Lams, q, tuple(zm), P.p, Ks, ell)
-            Km = repthy.qkz_K(midx, Lams, q, P.z, P.p, Ks, ell)
-            Km_shift = repthy.qkz_K(midx, Lams, q, tuple(zl), P.p, Ks, ell)
-            Kl = repthy.qkz_K(lidx, Lams, q, P.z, P.p, Ks, ell)
+            Kl_shift = repthy.qkz_K(lidx, Lams, q, tuple(zm), P.p, Ks, ell, block)
+            Km = repthy.qkz_K(midx, Lams, q, P.z, P.p, Ks, ell, block)
+            Km_shift = repthy.qkz_K(midx, Lams, q, tuple(zl), P.p, Ks, ell, block)
+            Kl = repthy.qkz_K(lidx, Lams, q, P.z, P.p, Ks, ell, block)
             lhs = Kl_shift @ Km
             rhs = Km_shift @ Kl
             worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
@@ -663,20 +664,19 @@ _INTERTWINING_WMAX = 2
 def intertwining_residual(L1, L2, x, lam, p, eta):
     depth, wmax = _INTERTWINING_DEPTH, _INTERTWINING_WMAX
     bas = [(k1, k2) for k1 in range(depth + 1) for k2 in range(depth + 1)]
+    # P relabels the degree vector (k1, k2) of V1 x V2 as (k2, k1) of V2 x V1
+    swap = [bas.index((k2, k1)) for k1, k2 in bas]
 
     def phi_matrix(lv):
-        blocks = solutions.ell_R_from_transition(L1, L2, x, lv, wmax + 1, p, eta)
-        idx_out = {v: i for i, v in enumerate(bas)}
-        M = np.zeros((len(bas),) * 2, dtype=complex)
-        for col, (ka, kb) in enumerate(bas):
-            w = ka + kb
-            if w > wmax + 1:
-                continue
+        """P R(x, lv) on bas; zero above weight wmax + 1."""
+        blocks = [solutions.ell_R_block(L1, L2, x, lv, w, p, eta) for w in range(wmax + 2)]
+
+        def block_fn(ks):
+            w = ks[0] + ks[1]
             pair = combin.index_vectors(2, w)
-            pidx = {v: i for i, v in enumerate(pair)}
-            for kap_, kbp_ in pair:
-                M[idx_out[(kbp_, kap_)], col] += blocks[w][pidx[(kap_, kbp_)], pidx[(ka, kb)]]
-        return M
+            return (blocks[w] if w <= wmax + 1 else np.zeros((len(pair),) * 2)), pair
+
+        return repthy.embed_pair_op(bas, 0, 1, block_fn)[swap]
 
     # P R(x, lam) at the three dynamical arguments the relations meet: lam,
     # and lam shifted by eta for T_i1 or by 1/eta for T_i2

@@ -1,6 +1,6 @@
 """Each R-matrix block is built once per check, and only for that check.
 
-The transition and rmatrix checks build their blocks through per-call
+The transition, rmatrix and qkz checks build their blocks through per-call
 memos: `repthy.trig_R_memo`, `solutions.ell_R_evaluator` and the phi
 matrices of `suites.intertwining_residual`.  These tests pin the number of
 builds, that a memoized result equals a fresh build bit for bit, that no
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qkzhyper import repthy as rt, solutions as so, suites
+from qkzhyper.cli_params import sample_params
 
 Q = 1.3 + 0.21j
 L1, L2, L3 = 0.43 + 0.11j, 0.61 - 0.07j, 0.52 + 0.2j
@@ -89,6 +90,17 @@ def test_trig_ybe_builds_each_block_once_per_call(monkeypatch):
     assert len(calls) == 2 * 3 * (3 + 1)
 
 
+def test_qkz_flatness_builds_each_block_once_per_call(monkeypatch):
+    P = sample_params(105, 3, 2)
+    calls = _count(monkeypatch, rt, "trig_R_block")
+    first = suites.qkz_flatness_check(P, 0.8 + 0.1j)
+    distinct = set(calls)
+    assert len(calls) == len(distinct) > 0
+    # nothing is kept between calls: the second builds every block again
+    assert suites.qkz_flatness_check(P, 0.8 + 0.1j) == first
+    assert len(calls) == 2 * len(distinct) and set(calls) == distinct
+
+
 def test_rmatrix_pair_checks_build_each_block_once_per_call(monkeypatch):
     calls = _count(monkeypatch, rt, "trig_R_block")
     first = suites.rmatrix_pair_checks(L1, L2, X, Q)
@@ -111,16 +123,14 @@ def test_trig_R_memo_keeps_the_two_constructions_apart():
     _read_only(Rb)
 
 
-def test_ell_R_block_is_the_list_entry():
+def test_ell_R_block_is_read_only():
     for kw in ({}, {"seed": 11, "z1": X * 0.7 * np.exp(1.9j)}):
-        blocks = so.ell_R_from_transition(L1, L2, X, LAM, 2, P_ELL, ETA, **kw)
-        for w, B in enumerate(blocks):
-            assert np.array_equal(B, so.ell_R_block(L1, L2, X, LAM, w, P_ELL, ETA, **kw))
-            _read_only(B)
+        for w in range(3):
+            _read_only(so.ell_R_block(L1, L2, X, LAM, w, P_ELL, ETA, **kw))
 
 
 def test_ell_R_evaluator_builds_one_block_per_key(monkeypatch):
-    want = [so.ell_R_from_transition(L1, L2, X, LAM, w, P_ELL, ETA)[w] for w in range(3)]
+    want = [so.ell_R_block(L1, L2, X, LAM, w, P_ELL, ETA) for w in range(3)]
     calls = _count(monkeypatch, so, "transition_matrix")
     ev = so.ell_R_evaluator(L1, L2, P_ELL, ETA)
     got = [ev(X, LAM, w) for w in range(3)]

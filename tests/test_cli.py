@@ -114,6 +114,21 @@ def test_verify_removed_flags_rejected(flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "pairing-det", "--grid", "0"], "--grid"),
+        (["table", "qbeta", "--rows", "0"], "--rows"),
+        (["verify", "jackson", "--cutoff", "-1"], "--cutoff"),
+    ],
+)
+def test_out_of_range_option_is_a_configuration_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_sample_subcommand(tmp_path):
     rp = tmp_path / "params.json"
     rc = cli.main(["sample", "--seed", "5", "--n", "2", "--ell", "1", "--report", str(rp)])

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from math import comb, factorial
 
@@ -20,6 +21,18 @@ def test_index_vectors_counts_and_order():
             assert len(vs) == comb(n + ell - 1, n - 1)
             assert vs == sorted(vs)
             assert all(sum(v) == ell for v in vs)
+
+
+def test_index_vectors_leaves_no_reference_cycle():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        combin.index_vectors(3, 4)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_dominance_basic():

@@ -360,7 +360,7 @@ def _ascj_general_sum_loop(a, b, alpha, beta, x, p, ell):
 
     def shell_terms(shell):
         for j in range(ell + 1):
-            for rs in ig._shell_vectors(ell, shell):
+            for rs in combin.index_vectors(ell, shell):
                 us = [p ** sum(rs[: i + 1]) * x**i * a for i in range(j)]
                 us += [p ** sum(rs[j : i + 1]) * x ** (i - j) * b for i in range(j, ell)]
                 expo = sum((ell - 1 - i) * (ell - i) * rs[i] for i in range(ell))
@@ -383,7 +383,7 @@ def _qselberg_jackson_loop(alpha, u, x, p, ell):
         return out * _x_pair_loop(ts, x, p)
 
     def shell_terms(shell):
-        for rs in ig._shell_vectors(ell, shell):
+        for rs in combin.index_vectors(ell, shell):
             ts = [p ** sum(rs[: i + 1]) * x**i for i in range(ell)]
             expo_u = sum((ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
             expo_x = -sum((i - 1) * (ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))

@@ -56,9 +56,7 @@ def test_adjacent_transition_elliptic():
         P = sample_params(21 + ell, 2, ell)
         C = so.transition_matrix("C", (1, 0), (0, 1), P)
         lam = so.lambda_from_kappa(P.kappa, ell, P.xi[0], P.xi[1], P.eta)
-        Rq = so.ell_R_from_transition(
-            P.Lambda[0], P.Lambda[1], P.z[0] / P.z[1], lam, ell, P.p, P.eta
-        )[ell]
+        Rq = so.ell_R_block(P.Lambda[0], P.Lambda[1], P.z[0] / P.z[1], lam, ell, P.p, P.eta)
         assert np.linalg.norm(C - Rq) / np.linalg.norm(Rq) < 1e-8
 
 
@@ -67,19 +65,19 @@ def test_lambda_dictionary_well_defined():
     L1, L2 = 0.45 + 0.09j, 0.62 - 0.06j
     p, eta = 0.16 * np.exp(0.7j), 2.0 * np.exp(0.15j)
     x, lam = 1.3 * np.exp(0.5j), 0.8 + 0.3j
-    A = so.ell_R_from_transition(L1, L2, x, lam, 2, p, eta, seed=5)
-    B = so.ell_R_from_transition(L1, L2, x, lam, 2, p, eta, seed=11, z1=x * 0.7 * np.exp(1.9j))
     for w in (1, 2):
-        assert np.linalg.norm(A[w] - B[w]) / np.linalg.norm(A[w]) < 1e-7
+        A = so.ell_R_block(L1, L2, x, lam, w, p, eta, seed=5)
+        B = so.ell_R_block(L1, L2, x, lam, w, p, eta, seed=11, z1=x * 0.7 * np.exp(1.9j))
+        assert np.linalg.norm(A - B) / np.linalg.norm(A) < 1e-7
 
 
 def test_ell_R_normalization_and_inversion():
     L1, L2 = 0.45 + 0.09j, 0.62 - 0.06j
     p, eta = 0.16 * np.exp(0.7j), 2.0 * np.exp(0.15j)
     x, lam = 1.3 * np.exp(0.5j), 0.8 + 0.3j
-    blocks = so.ell_R_from_transition(L1, L2, x, lam, 2, p, eta)
+    blocks = [so.ell_R_block(L1, L2, x, lam, w, p, eta) for w in range(3)]
     assert np.allclose(blocks[0], np.eye(1))
-    blocks21 = so.ell_R_from_transition(L2, L1, 1 / x, lam, 2, p, eta)
+    blocks21 = [so.ell_R_block(L2, L1, 1 / x, lam, w, p, eta) for w in range(3)]
     for w in (1, 2):
         pair = combin.index_vectors(2, w)
         idx = {v: i for i, v in enumerate(pair)}
@@ -116,7 +114,7 @@ def test_ell_R_weight1_vs_product_formula():
     kappa = 0.9 * np.exp(0.4j)
     x = 1.375 * np.exp(0.9j)
     lam1 = so.lambda_from_kappa(kappa, 1, xi1, xi2, eta)
-    R1 = so.ell_R_from_transition(L1, L2, x, lam1, 1, p, eta)[1]
+    R1 = so.ell_R_block(L1, L2, x, lam1, 1, p, eta)
     M = rt.rpr_middle_matrix(rt.rpr_matrix_params(L1, L2, q, kappa), x, p)
     cr1, cr2 = rt.cross_ratio(M), rt.cross_ratio(R1)
     assert abs(cr1 - cr2) / abs(cr2) < 1e-8
