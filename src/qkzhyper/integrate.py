@@ -18,8 +18,8 @@ import numpy as np
 
 from . import combin, weightfn
 from .errors import ConvergenceError, DegeneracyError, PoleProximityError
-from .grid import ProductGrid, as_points
-from .numkernel import POLE_GUARD, phase_phi, qpoch, theta, theta_ratio
+from .grid import ProductGrid
+from .numkernel import POLE_GUARD, Factor, Integrand, phase_declaration, phase_phi, pole_families, qpoch, theta
 
 TWO_PI_I = 2j * math.pi
 _CHUNK = 1 << 17
@@ -98,25 +98,12 @@ def auto_radius(params):
 
 
 def validate_torus(params, radius):
-    """Guard against quadrature circles within POLE_GUARD of catalog poles."""
-    for m in range(params.n):
-        for fam in (abs(params.xi[m] * params.z[m]), abs(params.z[m] / params.xi[m])):
-            s = fam
-            for _ in range(60):
-                if abs(s - radius) < POLE_GUARD * radius:
-                    raise PoleProximityError("torus radius hits a pole family")
-                s *= abs(params.p)
-                if s < POLE_GUARD * radius:
-                    break
-    r = abs(params.eta)
-    for fam in (r, 1.0 / r):
-        s = fam
-        for _ in range(60):
-            if abs(s - 1.0) < POLE_GUARD:
-                raise PoleProximityError("pair-pole family on the diagonal torus")
-            s *= abs(params.p)
-            if s < POLE_GUARD:
-                break
+    """Refuse a radius within POLE_GUARD of a catalog pole; the staggered grid never meets t_a = t_b."""
+    fixed, pair = _pole_catalog(params)
+    if np.any(np.abs(np.abs(fixed) - radius) < POLE_GUARD * radius):
+        raise PoleProximityError("torus radius hits a pole family")
+    if np.any((np.abs(np.abs(pair) - 1.0) < POLE_GUARD) & (pair != 1.0)):
+        raise PoleProximityError("pair-pole family on the diagonal torus")
 
 
 def hyper_I(Wf, wf, params, spec=QuadratureSpec()):
@@ -163,21 +150,14 @@ _SHRINK = 0.05
 
 @functools.lru_cache(maxsize=32)
 def _pole_catalog(params):
-    """(fixed, pair) pole data of `params`, built once per params.
-
-    fixed: the origin and the two-sided families p^s xi_m z_m and
-    p^s z_m / xi_m (|s| < _SMAX), which hold the poles of the weight
-    functions, the phase function and the theta quotients of omega_elliptic;
-    pair: the multipliers p^s eta, p^s / eta, p^s (|s| <= _SMAX) that place
-    a pair pole at multiplier * c_b.  Both arrays are read-only, since the
-    cache hands them to every caller."""
-    p, eta = params.p, params.eta
-    fixed = [0.0]
-    for m in range(params.n):
-        for s in range(1 - _SMAX, _SMAX):
-            fixed.append(p**s * params.xi[m] * params.z[m])
-            fixed.append(p**s * params.z[m] / params.xi[m])
-    pair = [v for s in range(-_SMAX, _SMAX + 1) for v in (p**s * eta, p**s / eta, p**s)]
+    """(fixed, pair): the origin and p-shells |s| < _SMAX of the point families, and the p-shells
+    |s| <= _SMAX of the pair multipliers, of the phase function with its 1/t, both Shapovalov forms
+    and every subset weight function at `params`.  Read-only: the cache hands them to every caller."""
+    p, ls = params.p, combin.index_vectors(params.n, params.ell)
+    subset = [weightfn.subset_form(kind, l, params) for l in ls for kind in ("theta", "linear")]
+    origin, axis, pair = pole_families([_phase_tilde(params), omega_elliptic(params), omega_trig(params), *subset], p)
+    fixed = [0.0] * origin + [p**s * v for v in axis for s in range(1 - _SMAX, _SMAX)]
+    pair = [p**s * v for v in pair for s in range(-_SMAX, _SMAX + 1)]
     out = (np.array(fixed, dtype=np.complex128), np.array(pair, dtype=np.complex128))
     for a in out:
         a.flags.writeable = False
@@ -309,14 +289,9 @@ def _shell_sum(shell_terms, cutoff, tol):
 
 
 def _phase_tilde(params):
-    def f(t):
-        t = as_points(t)
-        out = phase_phi(t, params)
-        for a in range(t.shape[-1]):
-            out = out / t[..., a]
-        return out
-
-    return f
+    """Phi(t) / prod_a t_a, declared."""
+    (phase,) = phase_declaration(params, params.ell).terms
+    return Integrand(params.p, [phase + [Factor("monomial", den=1, a=a) for a in range(params.ell)]])
 
 
 # Relative shell size at which the Jackson sums stop (see _shell_sum).
@@ -474,22 +449,19 @@ def qbeta_rhs(a, b, c, x, p, ell):
     return out
 
 
-def qbeta_integrand(a, b, c, x, p, ell):
-    def f(t):
-        t = as_points(t)
-        out = np.ones(t.shape[:-1], dtype=np.complex128)
-        for k in range(ell):
-            tk = t[..., k]
-            out *= theta(c * tk, p)
-            out /= tk * qpoch(a * tk, p) * qpoch(b / tk, p)
-        for jv in range(ell):
-            for k in range(ell):
-                if k != jv:
-                    r = t[..., jv] / t[..., k]
-                    out *= qpoch(r, p) / qpoch(x * r, p)
-        return out
+def _x_pair_factors(x, ell):
+    """(t_j/t_k)_inf / (x t_j/t_k)_inf, j != k: two plain products are cheaper than one paired ratio on big grids."""
+    pairs = itertools.permutations(range(ell), 2)
+    return [f for j, k in pairs for f in (Factor("qpoch", 1, a=j, b=k), Factor("qpoch", den=x, a=j, b=k))]
 
-    return f
+
+def qbeta_integrand(a, b, c, x, p, ell):
+    """prod_k theta(c t_k) / (t_k (a t_k)_inf (b / t_k)_inf) times the pairs."""
+    term = _x_pair_factors(x, ell)
+    for k in range(ell):
+        term += [Factor("theta", c, a=k), Factor("monomial", den=1, a=k)]
+        term += [Factor("qpoch", den=a, a=k), Factor("qpoch", den=b, b=k)]
+    return Integrand(p, [term])
 
 
 def askey_roy_rhs(a, b, c, alpha, beta, p):
@@ -505,13 +477,9 @@ def askey_roy_rhs(a, b, c, alpha, beta, p):
 
 
 def askey_roy_integrand(a, b, c, alpha, beta, p):
-    def f(t):
-        t = as_points(t)[..., 0]
-        num = theta(p * t / c, p) * theta(a * b * c * t, p)
-        den = qpoch(a * t, p) * qpoch(b * t, p) * qpoch(alpha / t, p) * qpoch(beta / t, p)
-        return num / den
-
-    return f
+    """The ell = 1 ARL integrand times t."""
+    (term,) = arl_integrand(a, b, c, alpha, beta, 1, p, 1).terms
+    return Integrand(p, [term + [Factor("monomial", 1, a=0)]])
 
 
 def arl_rhs(a, b, c, alpha, beta, x, p, ell):
@@ -533,21 +501,13 @@ def arl_rhs(a, b, c, alpha, beta, x, p, ell):
 
 
 def arl_integrand(a, b, c, alpha, beta, x, p, ell):
-    def f(t):
-        t = as_points(t)
-        out = np.ones(t.shape[:-1], dtype=np.complex128)
-        for k in range(ell):
-            tk = t[..., k]
-            out *= theta(p * tk / c, p) * theta(x ** (ell - 1) * a * b * c * tk, p)
-            out /= tk * qpoch(a * tk, p) * qpoch(b * tk, p) * qpoch(alpha / tk, p) * qpoch(beta / tk, p)
-        for jv in range(ell):
-            for k in range(ell):
-                if k != jv:
-                    r = t[..., jv] / t[..., k]
-                    out *= qpoch(r, p) / qpoch(x * r, p)
-        return out
-
-    return f
+    """prod_k theta(p t_k/c) theta(x^(ell-1) abc t_k) / (t_k (a t_k, b t_k,
+    alpha/t_k, beta/t_k)_inf) times the pairs."""
+    term, s = _x_pair_factors(x, ell), x ** (ell - 1) * a * b * c
+    for k in range(ell):
+        term += [Factor("theta", p / c, a=k), Factor("theta", s, a=k), Factor("monomial", den=1, a=k)]
+        term += [Factor("qpoch", den=v, a=k) for v in (a, b)] + [Factor("qpoch", den=v, b=k) for v in (alpha, beta)]
+    return Integrand(p, [term])
 
 
 def detM_rhs(params):
@@ -804,18 +764,8 @@ def qselberg_jackson(alpha, u, x, p, ell):
 def qselberg_X_ratio(k, a, b, c, x, p, ell, spec=QuadratureSpec()):
     """X_k / X_(k-1) via torus integrals of t_1..t_k F(t) d^ell t, plus the
     closed recurrence ratio."""
-    base = qbeta_integrand(a, b, c, x, p, ell)
-
-    def mono(j):
-        def f(t):
-            t = as_points(t)
-            out = np.asarray(base(t), dtype=np.complex128).copy()
-            for i in range(j):
-                out *= t[..., i]
-            return out
-
-        return f
-
+    (base,) = qbeta_integrand(a, b, c, x, p, ell).terms
+    mono = lambda j: Integrand(p, [base + [Factor("monomial", 1, a=i) for i in range(j)]])
     Xk = torus_integral(mono(k), ell, spec, measure="dt")
     Xkm = torus_integral(mono(k - 1), ell, spec, measure="dt")
     closed = (
@@ -832,44 +782,23 @@ def qselberg_X_ratio(k, a, b, c, x, p, ell, spec=QuadratureSpec()):
 
 
 def omega_elliptic(params):
-    p, eta = params.p, params.eta
-
-    def f(t):
-        t = as_points(t)
-        ell = t.shape[-1]
-        out = np.ones(t.shape[:-1], dtype=np.complex128)
-        for a in range(ell):
-            out /= t[..., a]
-            for m in range(params.n):
-                r = t[..., a] / params.z[m]
-                out *= theta_ratio(r / params.xi[m], params.xi[m] * r, p)
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                r = t[..., a] / t[..., b]
-                out *= theta_ratio(eta * r, r / eta, p) / eta
-        return out
-
-    return f
+    """prod_a t_a^-1 prod_{a,m} theta(t_a/(xi_m z_m)) / theta(xi_m t_a/z_m)
+    prod_{a<b} eta^-1 theta(eta t_a/t_b) / theta(t_a/(eta t_b)), declared."""
+    return _omega("theta", params, 1)
 
 
 def omega_trig(params):
-    eta = params.eta
+    """prod_a t_a^-2 prod_{a,m} (t_a - xi_m z_m) / (xi_m t_a - z_m)
+    prod_{a<b} (eta t_a - t_b) / (t_a - eta t_b), declared."""
+    return _omega("linear", params, params.xi_prod**params.ell)
 
-    def f(t):
-        t = as_points(t)
-        ell = t.shape[-1]
-        out = np.ones(t.shape[:-1], dtype=np.complex128)
-        for a in range(ell):
-            out /= t[..., a] ** 2
-            for m in range(params.n):
-                ta = t[..., a]
-                out *= (ta - params.xi[m] * params.z[m]) / (params.xi[m] * ta - params.z[m])
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                out *= (eta * t[..., a] - t[..., b]) / (t[..., a] - eta * t[..., b])
-        return out
 
-    return f
+def _omega(kind, params, const):
+    eta, ell = params.eta, params.ell
+    term = [Factor("monomial", den=1, a=a) for a in range(ell) for _ in range(1 + (kind == "linear"))]
+    term += [Factor(kind, 1 / (xi * z), xi / z, a) for a in range(ell) for xi, z in zip(params.xi, params.z)]
+    term += [Factor(kind, eta, 1 / eta, a, b) for a in range(ell) for b in range(a + 1, ell)]
+    return Integrand(params.p, [term], const * eta ** -comb(ell, 2))
 
 
 def shapovalov(flavor, f1, f2, params):

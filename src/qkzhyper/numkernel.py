@@ -10,11 +10,12 @@ bound |u| |p|^N / (1-|p|) <= tail_tol.
 import cmath
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleProximityError, ResonanceError
+from .errors import ConvergenceError, DegeneracyError, DomainError, PoleProximityError, ResonanceError
 from .grid import as_points
 from .kernels import qpoch_array, qpoch_ratio_array, theta_array
 
@@ -34,7 +35,7 @@ class TruncationPolicy:
         if ap == 0.0:
             return 1
         bound = self.tail_tol * (1.0 - ap) / max(float(umax), 1.0)
-        n = int(math.ceil(math.log(bound) / math.log(ap))) + 1
+        n = int(math.ceil(math.log(bound) / _log_abs_p(ap))) + 1
         if n > self.max_terms:
             raise ConvergenceError(
                 f"|p| = {ap:.6g}, max|u| = {float(umax):.3g} needs {n} product terms "
@@ -44,12 +45,14 @@ class TruncationPolicy:
 
 
 DEFAULT_POLICY = TruncationPolicy()
-# Relative distance from a pole at which a node is refused: the scalar
-# phase-function guard here and the quadrature-torus guard in integrate.
+# Relative distance from a pole at which a node is refused: any single point
+# of a declared integrand here, and a torus radius in integrate.
 POLE_GUARD = 1e-8
-# Distinct p kept by the (p;p)_inf cache of `pp_inf`; one pass of a benchmark
+# Distinct p kept by the per-p caches, (p;p)_inf of `pp_inf` and log|p| of
+# `nterms` (so that each call takes one logarithm); one pass of a benchmark
 # workload uses 4 to 15.
 _PP_INF_CACHE = 256
+_log_abs_p = functools.lru_cache(maxsize=_PP_INF_CACHE)(math.log)
 
 
 def _umax(u):
@@ -127,49 +130,124 @@ def theta_ratio(a, b, p):
     )
 
 
+# ---------------------------------------------------------------------------
+# declared integrands
+
+DECL_CACHE = 256  # declarations kept by each cache of a declaring function
+# kind(num x) / kind(den x), x = t_a / t_b (t_a if b is None, 1 / t_b if a is None),
+# a None side dropped; kind "qpoch", "theta", "linear" (1 - u) or "monomial" (u).
+Factor = namedtuple("Factor", "kind num den a b", defaults=(None, None, None, None))
+
+
+def _arg(c, f, ts):
+    if f.b is None:
+        return c * ts[..., f.a]
+    return c / ts[..., f.b] if f.a is None else c * ts[..., f.a] / ts[..., f.b]
+
+
+def _side(f, c, ts, p):
+    """kind(c x) on the points ts."""
+    if f.kind == "linear":
+        # 1 - c x as a coordinate difference keeps full relative accuracy at its zero
+        if f.b is None:
+            return c * (1 / c - ts[..., f.a])
+        return (ts[..., f.b] - (c if f.a is None else c * ts[..., f.a])) / ts[..., f.b]
+    u = _arg(c, f, ts)
+    return u if f.kind == "monomial" else qpoch(u, p) if f.kind == "qpoch" else theta(u, p)
+
+
+def _value(f, ts, p):
+    """The factor on the points ts, a new array."""
+    if f.num is not None and f.den is not None and f.kind in ("qpoch", "theta"):
+        # one termwise-paired kernel call, overflow-safe on far shells
+        return (qpoch_ratio if f.kind == "qpoch" else theta_ratio)(_arg(f.num, f, ts), _arg(f.den, f, ts), p)
+    if f.den is None:
+        return _side(f, f.num, ts, p)
+    v = np.reciprocal(_side(f, f.den, ts, p))
+    return v if f.num is None else np.multiply(v, _side(f, f.num, ts, p), out=v)
+
+
+class Integrand:
+    """const * sum over terms of the product of the term's factors, on one
+    point (ell,), a batch (..., ell) or a grid.ProductGrid, where the factors
+    of each axis row (or pair of axes) multiply before they meet the grid.
+    Exact inverses in a term cancel when it is declared.  A single point with
+    a denominator within POLE_GUARD of a zero is refused."""
+
+    def __init__(self, p, terms, const=1.0):
+        self.p, self.const, self.terms = p, const, []
+        for term in terms:
+            kept = []
+            for f in term:
+                inv = f._replace(num=f.den, den=f.num)
+                if inv in kept:
+                    kept.remove(inv)
+                else:
+                    kept.append(f)
+            self.terms.append(kept)
+
+    def __call__(self, t):
+        t = as_points(t)
+        single = t.ndim == 1
+        ts = t[None, :] if single else t
+        if single:
+            self._guard(ts)
+        acc = None
+        for term in self.terms:
+            out = np.full(ts.shape[:-1], self.const, dtype=np.complex128)
+            rows = {}  # one running product per set of coordinates
+            for f in term:
+                key, v = frozenset((f.a, f.b)), _value(f, ts, self.p)
+                rows[key] = v if key not in rows else np.multiply(rows[key], v, out=v)
+            for v in rows.values():
+                out *= v
+            acc = out if acc is None else np.add(acc, out, out=acc)
+        return complex(acc[0]) if single else acc
+
+    def _guard(self, ts):
+        for f in (f for term in self.terms for f in term if f.den is not None and f.kind != "monomial"):
+            u = complex(_arg(f.den, f, ts)[0])
+            # (u;p)_inf vanishes at u = p^-k; theta also where (p/u;p)_inf does
+            us = [u, self.p / u] if f.kind == "theta" and u else [u]
+            n = 1 if f.kind == "linear" else DEFAULT_POLICY.nterms(self.p, max(map(abs, us)))
+            if min(abs(1 - self.p**k * v) for k in range(n) for v in us) < POLE_GUARD:
+                raise PoleProximityError(f"point {ts[0]} within {POLE_GUARD} of a pole of the integrand")
+
+
+def pole_families(integrands, p):
+    """(origin, axis, pair): whether a 1/t factor puts a pole at t = 0; the
+    points t_a, and the multipliers m of t_a = m t_b (both orientations), at
+    which a denominator vanishes, one per p-lattice.  A pair ratio with both
+    sides on one lattice (eta in p^Z) stacks pair divisors: DegeneracyError."""
+    same = lambda v, w: _dist_to_p_powers(v / w, p) < 1e-9
+    add = lambda fams, *vs: fams.extend(v for v in vs if not any(same(v, w) for w in fams))
+    origin, axis, pair = False, [], []
+    for f in (f for F in integrands for term in F.terms for f in term if f.den is not None):
+        if f.kind == "monomial":
+            origin = True
+        elif f.a is None or f.b is None:
+            add(axis, 1 / f.den if f.b is None else f.den)
+        elif f.num is not None and same(f.num, f.den):
+            raise DegeneracyError(f"{f} has coinciding numerator and denominator divisors")
+        else:
+            add(pair, 1 / f.den, f.den)
+    return origin, axis, pair
+
+
+@functools.lru_cache(maxsize=DECL_CACHE)
+def phase_declaration(params, ell):
+    term = [Factor("qpoch", 1 / (xi * z), xi / z, a) for xi, z in zip(params.xi, params.z) for a in range(ell)]
+    term += [Factor("qpoch", params.eta, 1 / params.eta, a, b) for a in range(ell) for b in range(a + 1, ell)]
+    return Integrand(params.p, [term])
+
+
 def phase_phi(t, params):
     """Short phase function Phi(t, z).
 
     Phi = prod_{m,a} (xi_m^-1 t_a/z_m)_inf / (xi_m t_a/z_m)_inf
-        * prod_{a<b} (eta t_a/t_b)_inf / (eta^-1 t_a/t_b)_inf.
-
-    `t` has shape (..., ell) or is a ProductGrid, whose single-coordinate
-    factors are evaluated per axis; scalar points get the pole-proximity
-    guard, batched grids are assumed pre-validated by the quadrature planner.
+        * prod_{a<b} (eta t_a/t_b)_inf / (eta^-1 t_a/t_b)_inf, declared.
     """
-    t = as_points(t)
-    ell = t.shape[-1]
-    if ell == 0:
-        return np.ones(t.shape[:-1], dtype=np.complex128) if t.ndim > 1 else 1.0 + 0j
-    single = t.ndim == 1
-    ts = t[None, :] if single else t
-    p, eta = params.p, params.eta
-    out = np.ones(ts.shape[:-1], dtype=np.complex128)
-    for m in range(params.n):
-        xi_m, z_m = params.xi[m], params.z[m]
-        for a in range(ell):
-            num = ts[..., a] / (xi_m * z_m)
-            den = xi_m * ts[..., a] / z_m
-            if single:
-                _guard_qpoch_pole(complex(den.reshape(-1)[0]), p)
-            out *= qpoch_ratio(num, den, p)
-    for a in range(ell):
-        for b in range(a + 1, ell):
-            r = ts[..., a] / ts[..., b]
-            if single:
-                _guard_qpoch_pole(complex(r.reshape(-1)[0] / eta), p)
-            out *= qpoch_ratio(eta * r, r / eta, p)
-    return complex(out[0]) if single else out
-
-
-def _guard_qpoch_pole(v, p):
-    # 1/(v;p)_inf has poles at v = p^{-k}, k >= 0
-    n = DEFAULT_POLICY.nterms(p, abs(v))
-    w = v
-    for _ in range(n):
-        if abs(1.0 - w) < POLE_GUARD:
-            raise PoleProximityError(f"argument {v} within {POLE_GUARD} of a pole")
-        w *= p
+    return phase_declaration(params, as_points(t).shape[-1])(t)
 
 
 def p_gamma_sin(x, p, kind, extra=None):

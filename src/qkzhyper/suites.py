@@ -668,13 +668,13 @@ def intertwining_residual(L1, L2, x, lam, p, eta):
     swap = [bas.index((k2, k1)) for k1, k2 in bas]
 
     def phi_matrix(lv):
-        """P R(x, lv) on bas; zero above weight wmax + 1."""
-        blocks = [solutions.ell_R_block(L1, L2, x, lv, w, p, eta) for w in range(wmax + 2)]
+        """P R(x, lv) on bas; zero above weight wmax (P R keeps weight)."""
+        blocks = [solutions.ell_R_block(L1, L2, x, lv, w, p, eta) for w in range(wmax + 1)]
 
         def block_fn(ks):
             w = ks[0] + ks[1]
             pair = combin.index_vectors(2, w)
-            return (blocks[w] if w <= wmax + 1 else np.zeros((len(pair),) * 2)), pair
+            return (blocks[w] if w <= wmax else np.zeros((len(pair),) * 2)), pair
 
         return repthy.embed_pair_op(bas, 0, 1, block_fn)[swap]
 

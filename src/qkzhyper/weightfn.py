@@ -13,6 +13,7 @@ t[..., a] is broadcast-shaped; the result must broadcast to t.shape[:-1].
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import combin
 from .errors import ResonanceError
 from .grid import ProductGrid
-from .numkernel import qpoch, theta, theta_prime_one, theta_ratio
+from .numkernel import DECL_CACHE, Factor, Integrand, qpoch, theta, theta_prime_one, theta_ratio
 
 _TINY = 1e-240
 
@@ -116,19 +117,7 @@ def w_trig(l, t, params, form="symmetrized"):
             acc += combin.sym_act_trig(f, sigma, eta)(ts)
         return _unbatch(pref * acc, single)
     if form == "subset":
-        front = np.ones(ts.shape[:-1], dtype=np.complex128)
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                front *= (ts[..., a] - ts[..., b]) / (eta * ts[..., a] - ts[..., b])
-        acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
-        for assign in combin.gamma_partitions(l):
-            term = _w_core(assign, ts, params)
-            for a in range(ell):
-                for b in range(ell):
-                    if a != b and assign[a] < assign[b]:
-                        term *= (eta * ts[..., a] - ts[..., b]) / (ts[..., a] - ts[..., b])
-            acc += term
-        return _unbatch(front * acc, single)
+        return subset_form("linear", tuple(l), params)(t)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -177,28 +166,29 @@ def W_ell(l, t, params, form="symmetrized"):
             acc += combin.sym_act_ell(f, sigma, eta, p)(ts)
         return _unbatch(pref * acc, single)
     if form == "subset":
-        xi, z = params.xi, params.z
-        front = np.ones(ts.shape[:-1], dtype=np.complex128)
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                r = ts[..., a] / ts[..., b]
-                front *= theta_ratio(r, eta * r, p)
-        acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
-        for assign in combin.gamma_partitions(l):
-            term = np.ones(ts.shape[:-1], dtype=np.complex128)
-            for a, m in enumerate(assign):
-                ta = ts[..., a]
-                term *= theta_ratio(ta / (kappa_lm(l, params, m) * z[m]), ta / (xi[m] * z[m]), p)
-                for lo in range(m):
-                    term *= theta_ratio(xi[lo] * ta / z[lo], ta / (xi[lo] * z[lo]), p)
-            for a in range(ell):
-                for b in range(ell):
-                    if a != b and assign[a] < assign[b]:
-                        r = ts[..., a] / ts[..., b]
-                        term *= theta_ratio(eta * r, r, p)
-            acc += term
-        return _unbatch(front * acc, single)
+        return subset_form("theta", tuple(l), params)(t)
     raise ValueError(f"unknown form {form!r}")
+
+
+@functools.lru_cache(maxsize=DECL_CACHE)
+def subset_form(kind, l, params):
+    """Declared subset form of W_l (kind "theta") or w_l (kind "linear"), the
+    front prod_{a<b} kind(t_a/t_b) / kind(eta t_a/t_b) in each assignment's
+    term.  Linear: (xi t - z) / (t - xi z) = xi^-1 (1 - xi t/z) / (1 - t/(xi z))."""
+    xi, z, eta, ell = params.xi, params.z, params.eta, sum(l)
+    terms = []
+    for assign in combin.gamma_partitions(l):
+        term = [Factor(kind, 1, eta, a, b) for a in range(ell) for b in range(a + 1, ell)]
+        term += [Factor(kind, eta, 1, a, b) for a in range(ell) for b in range(ell) if assign[a] < assign[b]]
+        for a, m in enumerate(assign):
+            if kind == "theta":
+                term.append(Factor(kind, 1 / (kappa_lm(l, params, m) * z[m]), 1 / (xi[m] * z[m]), a))
+            else:  # t_a / (t_a - xi_m z_m)
+                term.append(Factor(kind, den=xi[m] * z[m], b=a))
+            term += [Factor(kind, xi[lo] / z[lo], 1 / (xi[lo] * z[lo]), a) for lo in range(m)]
+        terms.append(term)
+    const = 1 if kind == "theta" else math.prod(1 / xi[lo] for m in combin.canonical_blocks(l) for lo in range(m))
+    return Integrand(params.p, terms, const)
 
 
 def W_tau(l, t, params, tau, form="symmetrized"):

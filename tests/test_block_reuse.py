@@ -78,7 +78,7 @@ def test_coproduct_builds_each_operator_once(ij, monkeypatch):
 def test_intertwining_residual_builds_three_phi_matrices(monkeypatch):
     calls = _count(monkeypatch, so, "transition_matrix")
     suites.intertwining_residual(L1, L2, X, LAM, P_ELL, ETA)
-    assert len(calls) == 3 * (suites._INTERTWINING_WMAX + 1)
+    assert len(calls) == 3 * suites._INTERTWINING_WMAX
 
 
 def test_trig_ybe_builds_each_block_once_per_call(monkeypatch):

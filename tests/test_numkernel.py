@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from qkzhyper.errors import ConvergenceError, DomainError, PoleProximityError, R
 from qkzhyper.kernels import BACKEND, qpoch_array
 from qkzhyper.numkernel import (
     DEFAULT_POLICY,
+    POLE_GUARD,
     ParameterSet,
     TruncationPolicy,
     assert_admissible,
@@ -22,6 +25,7 @@ from qkzhyper.numkernel import (
     theta_prime_one,
     theta_ratio,
 )
+from qkzhyper.weightfn import W_ell, w_trig
 
 P = ParameterSet(
     p=0.13 + 0.05j,
@@ -160,11 +164,29 @@ def test_phase_phi_swap_symmetry():
     assert abs(lhs - rhs) / abs(rhs) < 1e-12
 
 
-def test_phase_phi_pole_guard():
-    P1 = ParameterSet(p=0.2, eta=2.0, kappa=1.0, xi=(0.4,), z=(1.0,), n=1, ell=1)
-    bad_t = np.array([1.0 / 0.4])  # xi t / z = 1 exactly
-    with pytest.raises(PoleProximityError):
-        phase_phi(bad_t, P1)
+P1 = ParameterSet(p=0.2, eta=2.0, kappa=1.0, xi=(0.4,), z=(1.0,), n=1, ell=1)
+
+
+@pytest.mark.parametrize(
+    "f, poles",
+    [
+        # 1/(xi t / z; p)_inf of the phase function: xi t / z = 1, 1/p
+        (lambda t: phase_phi(t, P1), (1.0 / 0.4, 1.0 / (0.4 * 0.2))),
+        # 1/theta(t / (xi z)) of the subset W: t / (xi z) = p, p^-2
+        (lambda t: W_ell((1,), t, P1, "subset"), (0.4 * 0.2, 0.4 / 0.2**2)),
+        # 1/(1 - xi z / t) of the subset w: t = xi z
+        (lambda t: w_trig((1,), t, P1, "subset"), (0.4,)),
+    ],
+    ids=["qpoch", "theta", "linear"],
+)
+def test_declared_integrand_pole_guard(f, poles):
+    """A single point within POLE_GUARD of a denominator zero is refused, for
+    each factor kind that has zeros."""
+    for pole in poles:
+        for rel in (0.0, 0.5 * POLE_GUARD, -0.9j * POLE_GUARD):
+            with pytest.raises(PoleProximityError):
+                f(np.array([pole * (1 + rel)]))
+        assert np.isfinite(f(np.array([pole * (1 + 10 * POLE_GUARD)])))
 
 
 def test_p_gamma_sin():
@@ -249,6 +271,50 @@ def test_kernels_match_mpmath_oracle(size, ap, arg, seed):
             assert _rel(q[i], qu) < ORACLE_TOL
             assert _rel(t[i], qu * qp(p / u[i]) * pp) < ORACLE_TOL
             assert _rel(r[i], qp(a[i]) / qp(b[i])) < ORACLE_TOL
+
+
+@pytest.mark.parametrize("p", [0.2 * np.exp(0.7j), 0.55 * np.exp(-2.1j)], ids=["abs_p_0.2", "abs_p_0.55"])
+def test_kernels_near_zeros_match_mpmath_oracle(p):
+    """qpoch, theta and qpoch_ratio at u = p^-k (1 + delta), on the scalar
+    path and inside a batch on the term loop.  Forming 1 - p^k u rounds
+    p^k (k products) and p^k u (one more), so against |1 - p^k u| = |delta|
+    the relative error is about (k + 2) eps / |delta|."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(3)
+    filler = _shell_points(rng, p, kernels._SMALL_WORK // DEFAULT_POLICY.nterms(p, 10.0) + 1)
+    for k in range(4):
+        for delta in (1e-3, 1e-4, 1e-5, 1e-6, 10 * POLE_GUARD):
+            u = p**-k * (1 + delta * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+            b = _shell_points(rng, p, 1)[0]
+            bound = (k + 2) * eps / delta + ORACLE_TOL
+            batch = np.concatenate(([u], filler))
+            with mpmath.workdps(40):
+                mp_p = mpmath.mpc(p)
+                qp = lambda x: mpmath.qp(mpmath.mpc(x), mp_p)
+                qu = qp(u)
+                want = {
+                    "qpoch": (lambda v: qpoch(v, p), qu),
+                    "theta": (lambda v: theta(v, p), qu * qp(p / u) * qp(p)),
+                    "ratio-num": (lambda v: qpoch_ratio(v, b, p), qu / qp(b)),
+                    "ratio-den": (lambda v: qpoch_ratio(b, v, p), qp(b) / qu),
+                }
+            for name, (fn, ref) in want.items():
+                for got in (fn(u), fn(batch)[0]):
+                    assert _rel(got, ref) < bound, (name, k, delta)
+
+
+def test_nterms_takes_the_two_log_formula():
+    pol = TruncationPolicy()
+    for ap in (1e-3, 0.05, 0.2, 0.5, 0.75, 0.9):
+        for arg in (0.0, 1.3, -2.9):
+            for umax in (0.0, 0.5, 1.0, 7.3, 1e3, 1e8):
+                bound = pol.tail_tol * (1.0 - ap) / max(umax, 1.0)
+                want = max(1, int(math.ceil(math.log(bound) / math.log(ap))) + 1)
+                if want > pol.max_terms:
+                    with pytest.raises(ConvergenceError):
+                        pol.nterms(ap * np.exp(1j * arg), umax)
+                else:
+                    assert pol.nterms(ap * np.exp(1j * arg), umax) == want
 
 
 def test_array_and_scalar_paths_agree():

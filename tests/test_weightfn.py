@@ -1,6 +1,7 @@
 import numpy as np
 
-from qkzhyper import combin, weightfn as wf
+from qkzhyper import combin, numkernel as nk, weightfn as wf
+from qkzhyper.grid import ProductGrid
 from qkzhyper.numkernel import ParameterSet, qpoch, theta
 
 P = ParameterSet(
@@ -358,3 +359,41 @@ def test_W_tau_identity_reversed_display_and_involution():
     l = (1, 0)
     back = wf.W_tau(combin.permute_index(l, tau), t1, P1.permuted(tau), tau)
     assert abs(back - ref) / abs(ref) < 1e-12
+
+
+def _grid_kernel_calls(monkeypatch, f, t, M):
+    """Kernel calls of f(t) on more points than one axis row of M nodes."""
+    calls = []
+    for name in ("qpoch_array", "theta_array", "qpoch_ratio_array"):
+        kernel = getattr(nk, name)
+
+        def counted(*args, kernel=kernel):
+            out = kernel(*args)
+            calls.append(out.size)
+            return out
+
+        monkeypatch.setattr(nk, name, counted)
+    f(t)
+    monkeypatch.undo()
+    return sum(size > M for size in calls)
+
+
+def test_subset_W_grid_kernel_calls(monkeypatch):
+    # bound: the front computed once plus each assignment's pairs, one theta
+    # ratio (two qpoch ratios) per front pair a < b and per pair with
+    # assign[a] < assign[b]; with the front in every assignment term, a front
+    # pair and the same assignment pair cancel, e.g. l = (1, 1): the (0, 1)
+    # assignment keeps no pair factor
+    M = 8
+    for n, ell in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
+        Pn = params(n, ell, seed=n + ell)
+        t = ProductGrid([np.exp(2j * np.pi * (np.arange(M) + (a + 1) / (ell + 2)) / M) for a in range(ell)])
+        for l in combin.index_vectors(n, ell):
+            pairs = sum(
+                assign[a] < assign[b] for assign in combin.gamma_partitions(l) for a in range(ell) for b in range(ell)
+            )
+            bound = 2 * (ell * (ell - 1) // 2 + pairs)
+            got = _grid_kernel_calls(monkeypatch, lambda tt: wf.W_ell(l, tt, Pn, "subset"), t, M)
+            assert got <= bound, (l, got, bound)
+            if l == (1, 1):
+                assert (bound, got) == (6, 4)
