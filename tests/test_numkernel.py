@@ -303,6 +303,46 @@ def test_kernels_near_zeros_match_mpmath_oracle(p):
                     assert _rel(got, ref) < bound, (name, k, delta)
 
 
+def _per_term_ratio(a, b, p, nterms):
+    """Reference ratio loop: one division per term, the running product
+    multiplied by (1 - p^k a) / (1 - p^k b) for each k < nterms."""
+    out = np.ones(a.size, dtype=np.complex128)
+    wa, wb = a.astype(np.complex128), b.astype(np.complex128)
+    for _ in range(nterms):
+        out *= (1.0 - wa) / (1.0 - wb)
+        wa *= p
+        wb *= p
+    return out
+
+
+def test_blocked_ratio_matches_per_term_division():
+    """The term loop divides its two running products once per block of
+    terms; against per-term division it moves only rounding.  The cases run
+    the block length from nterms (max|u| = 1) down to one term (1e150)."""
+    rng = np.random.default_rng(13)
+    n = kernels._BLOCK + 7
+    blocks = set()
+    for ap, umax in ((0.01, 1e150), (0.01, 1e80), (0.2, 1e40), (0.2, 1e10), (0.8, 1e3), (0.5, 1.0)):
+        p = ap * np.exp(0.7j)
+        nterms = DEFAULT_POLICY.nterms(p, umax)
+        assert n * nterms > kernels._SMALL_WORK
+        a, b = (umax * rng.uniform(0.2, 1.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)) for _ in range(2))
+        a[0] = umax * np.exp(2.0j)
+        k = kernels._terms_per_division((a, b), nterms)
+        blocks.add(k if k < nterms else "nterms")
+        got = kernels.qpoch_ratio_array(a, b, p, nterms)
+        want = _per_term_ratio(a, b, p, nterms)
+        assert np.isfinite(got).all(), (ap, umax)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13, (ap, umax)
+        if umax == 1e150:
+            with mpmath.workdps(40):
+                mp_p = mpmath.mpc(p)
+                qp = lambda x: mpmath.qp(mpmath.mpc(x), mp_p)
+                for i in (0, *rng.choice(n, size=3, replace=False)):
+                    assert _rel(got[i], qp(a[i]) / qp(b[i])) < ORACLE_TOL
+    assert {1, "nterms"} <= blocks
+
+
 def test_nterms_takes_the_two_log_formula():
     pol = TruncationPolicy()
     for ap in (1e-3, 0.05, 0.2, 0.5, 0.75, 0.9):
