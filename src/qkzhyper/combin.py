@@ -10,6 +10,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .grid import as_points
 from .numkernel import theta_ratio
 
 
@@ -95,15 +96,14 @@ def sym_act_trig(f, sigma, eta):
     sigma = tuple(sigma)
 
     def g(t):
-        t = np.asarray(t, dtype=np.complex128)
-        ts = t[..., list(sigma)]
-        out = np.asarray(f(ts), dtype=np.complex128).copy()
+        t = as_points(t)
+        out = np.asarray(f(t[..., list(sigma)]), dtype=np.complex128)
         ell = len(sigma)
         for a in range(ell):
             for b in range(a + 1, ell):
                 if sigma[a] > sigma[b]:
                     ta, tb = t[..., sigma[a]], t[..., sigma[b]]
-                    out *= (tb - eta * ta) / (eta * tb - ta)
+                    out = out * ((tb - eta * ta) / (eta * tb - ta))
         return out
 
     return g
@@ -115,15 +115,14 @@ def sym_act_ell(f, sigma, eta, p):
     sigma = tuple(sigma)
 
     def g(t):
-        t = np.asarray(t, dtype=np.complex128)
-        ts = t[..., list(sigma)]
-        out = np.asarray(f(ts), dtype=np.complex128).copy()
+        t = as_points(t)
+        out = np.asarray(f(t[..., list(sigma)]), dtype=np.complex128)
         ell = len(sigma)
         for a in range(ell):
             for b in range(a + 1, ell):
                 if sigma[a] > sigma[b]:
                     r = t[..., sigma[b]] / t[..., sigma[a]]
-                    out *= eta * theta_ratio(r / eta, eta * r, p)
+                    out = out * (eta * theta_ratio(r / eta, eta * r, p))
         return out
 
     return g

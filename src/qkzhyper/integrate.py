@@ -170,10 +170,11 @@ def _residue_radii(center, params):
     Base radius is _SHRINK times the distance to the nearest other
     singularity (fixed catalog poles, eta-shifted partners, origin); poles
     within 1e-9 |c_k| of c_k are the point's own, and more than 6 of them
-    is a degeneracy.  When a pair divisor t_k = p^s eta^e t_j passes through
-    the center, the inner circle (larger k; extracted earlier per the nested
-    convention) is forced well below the divisor's displacement under the
-    outer circle, so the extraction keeps picking the constant divisor only.
+    is a degeneracy.  When a pair divisor t_k = m t_j of the catalog passes
+    through the center (|c_k / c_j / m - 1| < 1e-8), the inner circle
+    (larger k; extracted earlier per the nested convention) is forced well
+    below the divisor's displacement under the outer circle, so the
+    extraction keeps picking the constant divisor only.
     """
     ell = len(center)
     c = np.asarray(center, dtype=np.complex128)
@@ -189,28 +190,11 @@ def _residue_radii(center, params):
         if np.count_nonzero(own) > 6 or not math.isfinite(dmin):
             raise DegeneracyError("multiple singularity intersection at residue point")
         rk = _SHRINK * dmin
-        for j in range(k):
-            if _divisor_through_center(center[k], center[j], params.p, params.eta, _SMAX):
-                rk = min(rk, 0.2 * abs(center[k] / center[j]) * radii[j])
+        through = np.abs(np.divide.outer(ck / c[:k], pair) - 1.0) < 1e-8
+        for j in np.flatnonzero(through.any(axis=1)):
+            rk = min(rk, 0.2 * abs(ck / c[j]) * radii[j])
         radii.append(rk)
     return tuple(radii)
-
-
-def _divisor_through_center(ck, cj, p, eta, smax):
-    """True when c_k / c_j = p^s eta^e for some |s| <= smax, e in {-1,0,1}.
-
-    Detection is branch-safe: the shell s comes from moduli, the match from
-    the actual quotient."""
-    r = ck / cj
-    ap = abs(p)
-    for e in (-1, 0, 1):
-        w = r / eta**e
-        if abs(w) == 0:
-            continue
-        s = round(math.log(abs(w)) / math.log(ap))
-        if abs(s) <= smax and abs(w / p**s - 1.0) < 1e-8:
-            return True
-    return False
 
 
 def multi_residue(f, center, params=None, plan=None):
@@ -233,18 +217,12 @@ def multi_residue(f, center, params=None, plan=None):
     return complex(total / plan.points**ell)
 
 
-def _residue_at(f, pt, params):
-    """Nested residue of f at pt on ResiduePlan circles sized by
-    _residue_radii."""
-    return multi_residue(f, pt, plan=ResiduePlan(tuple(pt), _residue_radii(pt, params)))
-
-
 def _special_residue_sum(f, params, side):
     """Sum of the nested residues of f at every special point x<m (side "x")
     or y>m (side "y", with the (-1)^ell sign)."""
     total = 0.0 + 0j
     for mvec in combin.index_vectors(params.n, params.ell):
-        total += _residue_at(f, weightfn.special_point(mvec, params, side), params)
+        total += multi_residue(f, weightfn.special_point(mvec, params, side), params=params)
     if side == "y":
         total *= (-1.0) ** params.ell
     return total
@@ -334,7 +312,7 @@ def jackson_sum(Wf, wf, params, side="x", cutoff=60):
             for svec in combin.index_vectors(ell, shell):
                 sh = svec if side == "x" else tuple(-v for v in svec)
                 pt = weightfn.special_point(mvec, params, side, sh)
-                yield _residue_at(integrand, pt, params)
+                yield multi_residue(integrand, pt, params=params)
 
     total, report = _shell_sum(shell_terms, cutoff, _JACKSON_TOL)
     report["tail_estimate"] *= abs(TWO_PI_I**ell * factorial(ell))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DegeneracyError, DomainError, PoleProximityError, ResonanceError
-from .grid import as_points
+from .grid import as_batch, as_points
 from .kernels import qpoch_array, qpoch_ratio_array, theta_array
 
 
@@ -187,9 +187,7 @@ class Integrand:
             self.terms.append(kept)
 
     def __call__(self, t):
-        t = as_points(t)
-        single = t.ndim == 1
-        ts = t[None, :] if single else t
+        ts, single = as_batch(t)
         if single:
             self._guard(ts)
         acc = None

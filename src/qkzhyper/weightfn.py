@@ -9,7 +9,9 @@ products, and the discrete shift operators of the local system.
 
 Evaluation convention: a field is a callable f(t) vectorized over the leading
 axes of t, with t.shape == (..., ell).  t may be a grid.ProductGrid, whose
-t[..., a] is broadcast-shaped; the result must broadcast to t.shape[:-1].
+t[..., a] is broadcast-shaped and whose t[..., idx] is the grid of those
+rows; the result must broadcast to t.shape[:-1].  Fields read points through
+grid.as_batch or grid.as_points; only discrete_shift densifies a grid.
 """
 
 import cmath
@@ -21,25 +23,10 @@ import numpy as np
 
 from . import combin
 from .errors import ResonanceError
-from .grid import ProductGrid
+from .grid import as_batch, as_points
 from .numkernel import DECL_CACHE, Factor, Integrand, qpoch, theta, theta_prime_one, theta_ratio
 
 _TINY = 1e-240
-
-
-def _as_batch(t, ell):
-    """(points, single): a ProductGrid passes through as it is, so the
-    subset forms read its per-axis coordinates; the symmetrized forms
-    densify it inside combin.sym_act_*."""
-    if isinstance(t, ProductGrid):
-        return t, False
-    t = np.asarray(t, dtype=np.complex128)
-    if ell == 0:
-        single = t.ndim <= 1
-        shape = () if single else t.shape[:-1]
-        return t.reshape(shape + (0,)), single
-    single = t.ndim == 1
-    return (t[None, :], single) if single else (t, single)
 
 
 def _unbatch(val, single):
@@ -101,7 +88,7 @@ def _w_core(assign, ts, params):
 def w_trig(l, t, params, form="symmetrized"):
     """Trigonometric weight function w_l(t, z)."""
     ell = sum(l)
-    ts, single = _as_batch(t, ell)
+    ts, single = as_batch(t)
     if ell == 0:
         return _unbatch(np.ones(ts.shape[:-1], dtype=np.complex128), single)
     eta = params.eta
@@ -150,7 +137,7 @@ def _W_core_sym(l, ts, params):
 def W_ell(l, t, params, form="symmetrized"):
     """Elliptic weight function W_l(t, z)."""
     ell = sum(l)
-    ts, single = _as_batch(t, ell)
+    ts, single = as_batch(t)
     if ell == 0:
         return _unbatch(np.ones(ts.shape[:-1], dtype=np.complex128), single)
     p, eta = params.p, params.eta
@@ -431,7 +418,7 @@ def aux_roots(params):
 def basis_aux(kind, l, t, params):
     """Auxiliary families: Q_l, P_l, g_l (trig) and Theta_l, G_l, J_l (elliptic)."""
     ell = sum(l)
-    ts, single = _as_batch(t, ell)
+    ts, single = as_batch(t)
     n = params.n
     eta, p = params.eta, params.p
     xi, z = params.xi, params.z
@@ -589,7 +576,6 @@ def star_product(f, g, jvars, lvars, split_k, params, flavor="trig"):
     xi, z = params.xi, params.z
 
     def core(t):
-        t = np.asarray(t, dtype=np.complex128)
         out = np.asarray(f(t[..., :jvars]), dtype=np.complex128) * np.asarray(
             g(t[..., jvars:]), dtype=np.complex128
         )
@@ -605,7 +591,7 @@ def star_product(f, g, jvars, lvars, split_k, params, flavor="trig"):
     act = combin.sym_act_trig if flavor == "trig" else combin.sym_act_ell
 
     def h(t):
-        ts, single = _as_batch(t, ell)
+        ts, single = as_batch(t)
         acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
         for sigma in combin.all_perms(ell):
             if flavor == "trig":
@@ -622,7 +608,7 @@ def one_block_w(lm, m, params):
     """n=1 style trig weight function attached to block m, in lm variables."""
 
     def f(t):
-        t = np.asarray(t, dtype=np.complex128)
+        t = as_points(t)
         out = np.ones(t.shape[:-1], dtype=np.complex128)
         for a in range(lm):
             ta = t[..., a]
@@ -640,7 +626,7 @@ def one_block_W(lm, m, params, kappa_block):
     p, eta = params.p, params.eta
 
     def f(t):
-        t = np.asarray(t, dtype=np.complex128)
+        t = as_points(t)
         out = np.ones(t.shape[:-1], dtype=np.complex128)
         for a in range(lm):
             ta = t[..., a]
@@ -662,7 +648,7 @@ def one_block_W(lm, m, params, kappa_block):
 
 def phi_factor(a, t, z, params):
     """Connection coefficient phi_a(t, z); a in 0..ell-1 shifts t, a = ell+m shifts z_m."""
-    t = np.asarray(t, dtype=np.complex128)
+    t = as_points(t)
     ell = params.ell
     p, eta, ka = params.p, params.eta, params.kappa
     xi = params.xi
@@ -694,6 +680,7 @@ def discrete_shift(f, a, params, mode="Q"):
     ell = params.ell
 
     def qf(t, z):
+        # the shifted copy rewrites coordinate a, so this field reads dense points
         t = np.asarray(t, dtype=np.complex128)
         z = tuple(z)
         if a < ell:
@@ -753,16 +740,13 @@ def boundary_element(flavor, W_lower, params):
     if flavor == "Q":
 
         def core(t):
-            t = np.asarray(t, dtype=np.complex128)
-            return np.asarray(W_lower(t[..., 1:]), dtype=np.complex128)
+            return W_lower(t[..., 1:])
 
     elif flavor == "Qprime":
 
         def core(t):
-            t = np.asarray(t, dtype=np.complex128)
-            out = np.asarray(W_lower(t[..., : ell - 1]), dtype=np.complex128).copy()
             tl = t[..., ell - 1]
-            out = out / tl
+            out = np.asarray(W_lower(t[..., : ell - 1]), dtype=np.complex128) / tl
             for m in range(params.n):
                 out = out * theta_ratio(
                     params.xi[m] * tl / params.z[m], tl / (params.xi[m] * params.z[m]), p
@@ -773,7 +757,7 @@ def boundary_element(flavor, W_lower, params):
         raise ValueError("flavor must be 'Q' or 'Qprime'")
 
     def f(t):
-        ts, single = _as_batch(t, ell)
+        ts, single = as_batch(t)
         acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
         for sigma in combin.all_perms(ell):
             acc += combin.sym_act_ell(core, sigma, eta, p)(ts)

@@ -27,9 +27,19 @@ def test_product_grid_contract():
     assert dense.shape == t.shape and dense.dtype == np.complex128
     np.testing.assert_array_equal(dense[..., 0], np.broadcast_to(x[:, None], (3, 2)))
     np.testing.assert_array_equal(dense[..., 1], np.broadcast_to(y[None, :], (3, 2)))
-    # any other index is taken on the dense array
+    # a list or slice of coordinates is the grid of those rows, each row on
+    # its own grid axis; any other index is taken on the dense array
+    for idx in ([1], [1, 0], [0, 1, 0], slice(1, None), slice(None, None, -1), []):
+        sub = t[..., idx]
+        assert isinstance(sub, ProductGrid) and sub.shape == dense[..., idx].shape
+        np.testing.assert_array_equal(np.asarray(sub), dense[..., idx])
+    assert t[..., [1, 0]][..., 0] is t[..., 1] and t[..., ::-1][..., -1] is t[..., 0]
+    u = ProductGrid([x, y, np.array([5.0, 6.0, 7.0, 8.0])])
+    perm = u[..., [2, 0, 1]]
+    np.testing.assert_array_equal(np.asarray(perm), np.asarray(u)[..., [2, 0, 1]])
+    assert perm[..., 0].shape == (1, 1, 4) and perm[..., [1, 2]][..., 1].shape == (1, 2, 1)
     np.testing.assert_array_equal(t[1], dense[1])
-    np.testing.assert_array_equal(t[..., :1], dense[..., :1])
+    np.testing.assert_array_equal(t[..., 0, None], dense[..., 0, None])
     with pytest.raises(ValueError):
         np.array(t, copy=False)
     with pytest.raises(ValueError):
@@ -78,12 +88,19 @@ def _integrands(P):
     IV = combin.index_vectors(P.n, ell)
     l = IV[len(IV) // 2]
     a, b, c, x, p = 0.35 + 0.1j, 0.4 - 0.05j, 1.2 + 0.3j, 0.42 * np.exp(0.7j), 0.2 * np.exp(1.3j)
+    Plow = P.with_kappa(P.kappa / P.eta).with_ell(ell - 1)
+    lows = combin.index_vectors(P.n, ell - 1)
+    Wlow = lambda t: wf.W_ell(lows[-1], t, Plow, "subset")
+    blocks = (wf.one_block_W(ell - 1, 0, P, P.kappa), wf.one_block_W(1, 1, P, P.kappa * P.eta))
     return {
         "phase_phi": lambda t: phase_phi(t, P),
         "W_ell": lambda t: wf.W_ell(l, t, P, "subset"),
         "w_trig": lambda t: wf.w_trig(l, t, P, "subset"),
-        # the symmetrized form densifies the grid inside combin.sym_act_ell
         "W_ell_symmetrized": lambda t: wf.W_ell(l, t, P),
+        "boundary_Q": wf.boundary_element("Q", Wlow, P),
+        "boundary_Qprime": wf.boundary_element("Qprime", Wlow, P),
+        "star_product_elliptic": wf.star_product(*blocks, ell - 1, 1, 1, P, "elliptic"),
+        "one_block_W": wf.one_block_W(ell, 0, P, P.kappa),
         "omega_elliptic": ig.omega_elliptic(P),
         "omega_trig": ig.omega_trig(P),
         "qbeta": ig.qbeta_integrand(a, b, c, x, p, ell),

@@ -191,8 +191,10 @@ def _residue_radii_loop(center, params, shrink=0.05, smax=24):
         assert len(near) <= 6
         rk = shrink * dmin
         for j in range(k):
-            if ig._divisor_through_center(ck, center[j], p, eta, smax):
-                rk = min(rk, 0.2 * abs(ck / center[j]) * radii[j])
+            # a pair divisor t_k = p^s eta^e t_j through the centre
+            r = ck / center[j]
+            if any(abs(r / (p**s * eta**e) - 1) < 1e-8 for e in (-1, 0, 1) for s in range(-smax, smax + 1)):
+                rk = min(rk, 0.2 * abs(r) * radii[j])
         radii.append(rk)
     return radii
 

@@ -397,3 +397,31 @@ def test_subset_W_grid_kernel_calls(monkeypatch):
             assert got <= bound, (l, got, bound)
             if l == (1, 1):
                 assert (bound, got) == (6, 4)
+
+
+def test_symmetrized_W_grid_kernel_calls(monkeypatch):
+    # on a product grid each one-coordinate factor stays on its axis row: the
+    # only kernel calls above M points are the twist ratios
+    # theta(eta^-1 r) / theta(eta r), two qpoch ratios per inversion of sigma
+    M = 8
+    for n, ell in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
+        Pn = params(n, ell, seed=n + ell)
+        t = ProductGrid([np.exp(2j * np.pi * (np.arange(M) + (a + 1) / (ell + 2)) / M) for a in range(ell)])
+        twists = 2 * sum(s[a] > s[b] for s in combin.all_perms(ell) for a in range(ell) for b in range(a + 1, ell))
+        for l in combin.index_vectors(n, ell):
+            assert _grid_kernel_calls(monkeypatch, lambda tt: wf.W_ell(l, tt, Pn), t, M) == twists, l
+
+
+def test_ell_zero_single_point_and_batch():
+    # ell = 0: the point (0,) gives a number and a (3, 0) batch three values,
+    # as the declared integrands do
+    P0 = params(2, 0, seed=9)
+    l = (0, 0)
+    fields = [lambda t, form=form: wf.W_ell(l, t, P0, form) for form in ("symmetrized", "subset")]
+    fields += [lambda t, form=form: wf.w_trig(l, t, P0, form) for form in ("symmetrized", "subset")]
+    fields += [lambda t, kind=kind: wf.basis_aux(kind, l, t, P0) for kind in ("Q", "g", "P", "Theta", "G", "J")]
+    for f in fields:
+        one = f(np.zeros(0))
+        assert isinstance(one, complex) and one != 0
+        np.testing.assert_array_equal(f(np.zeros((3, 0))), np.full(3, one))
+    assert isinstance(wf.subset_form("theta", l, P0)(np.zeros(0)), complex)
