@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import SamplingError
-from .numkernel import ParameterSet
+from .numkernel import ParameterSet, _dist_to_p_powers
 
 BAND = 0.75  # pole moduli must stay outside [BAND, 1/BAND] around the torus
 BAND_SMAX = 60  # p-shells of a pole family checked against the band
@@ -63,11 +63,8 @@ def kappa_margins_ok(params):
         for i in range(params.n):
             prod = prod * params.xi[i] if i <= m else prod / params.xi[i]
         for r in range(1 - ell, ell):
-            v = prod * eta**-r
-            s0 = round(math.log(abs(v)) / math.log(abs(p))) if abs(v) > 0 else 0
-            for s in range(s0 - 2, s0 + 3):
-                if abs(v / p**s - 1) < delta:
-                    return False
+            if _dist_to_p_powers(prod * eta**-r, p) < delta:
+                return False
     return True
 
 

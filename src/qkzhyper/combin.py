@@ -69,11 +69,6 @@ def all_perms(n):
     return list(itertools.permutations(range(n)))
 
 
-def perm_compose(sigma, tau):
-    """Composition rho(i) = tau(sigma(i))."""
-    return tuple(tau[s] for s in sigma)
-
-
 def perm_inverse(sigma):
     inv = [0] * len(sigma)
     for i, s in enumerate(sigma):
@@ -128,39 +123,22 @@ def sym_act_ell(f, sigma, eta, p):
     return g
 
 
-def counts(kind, *args):
-    """Counting functions used in the determinant exponents.
+def d_count(n, m, ell, s):
+    """The exponent count d(n, m, ell, s) of the determinant formulas."""
+    total = 0
+    for i in range(ell):
+        j = i - s
+        if j < 0 or i + j >= ell:
+            continue
+        total += comb(m - 1 + i, m - 1) * comb(n - m - 1 + j, n - m - 1)
+    return total
 
-    counts("d", n, m, ell, s)  -> d(n,m,ell,s)
-    counts("D", n, ell, s)     -> D(n,ell,s)
-    counts("binom_identity", j, k, l, m) -> (lhs, rhs) of the binomial identity
-    """
-    if kind == "d":
-        n, m, ell, s = args
-        total = 0
-        for i in range(ell):
-            j = i - s
-            if j < 0 or i + j >= ell:
-                continue
-            total += comb(m - 1 + i, m - 1) * comb(n - m - 1 + j, n - m - 1)
-        return total
-    if kind == "D":
-        n, ell, s = args
-        if n < 2:
-            return 0
-        total = 0
-        r = 0
-        while 2 * r <= ell - abs(s) - 1:
-            k = n + ell - abs(s) - 2 * r - 3
-            if k >= 0:
-                total += comb(k, n - 2)
-            r += 1
-        return total
-    if kind == "binom_identity":
-        j, k, l, m = args
-        lhs = sum(
-            comb(j + a, j) * comb(j + k + a, k) * comb(l + m - a, m) for a in range(l + 1)
-        )
-        rhs = comb(j + k, k) * comb(j + k + l + m + 1, j + k + m + 1)
-        return lhs, rhs
-    raise ValueError(f"unknown kind {kind!r}")
+
+def binomial_identity(j, k, l, m):
+    """(lhs, rhs) of the binomial identity
+    sum_a C(j+a, j) C(j+k+a, k) C(l+m-a, m) = C(j+k, k) C(j+k+l+m+1, j+k+m+1)."""
+    lhs = sum(
+        comb(j + a, j) * comb(j + k + a, k) * comb(l + m - a, m) for a in range(l + 1)
+    )
+    rhs = comb(j + k, k) * comb(j + k + l + m + 1, j + k + m + 1)
+    return lhs, rhs

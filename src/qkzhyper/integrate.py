@@ -106,15 +106,10 @@ def validate_torus(params, radius):
         raise PoleProximityError("pair-pole family on the diagonal torus")
 
 
-def hyper_I(Wf, wf, params, spec=QuadratureSpec()):
-    """Hypergeometric pairing I(W, w) = int Phi w W (dt/t)^ell on the torus."""
-    mat = hyper_I_many([Wf], [wf], params, spec)
-    return complex(mat[0, 0])
-
-
 def hyper_I_many(Ws, ws, params, spec=QuadratureSpec()):
-    """Matrix [I(W_i, w_j)] sharing one phase-function evaluation per node,
-    on the torus of radius auto_radius(params)."""
+    """Matrix of the hypergeometric pairings I(W_i, w_j) = int Phi w_j W_i
+    (dt/t)^ell on the torus of radius auto_radius(params): each field and
+    the phase function are evaluated once per node."""
     ell = params.ell
     if ell == 0:
         z0 = np.zeros((1, 0), dtype=np.complex128)
@@ -217,15 +212,25 @@ def multi_residue(f, center, params=None, plan=None):
     return complex(total / plan.points**ell)
 
 
-def _special_residue_sum(f, params, side):
+def _shell_residues(f, params, side, shell):
+    """Nested residues of f at the special points of one Jackson shell: x<(m, s)>
+    (side "x") or y>(m, -s) (side "y") for every m and every s >= 0 with
+    |s|_1 = shell.  At ell = 0 shell 0 is the empty point and later shells are empty."""
+    ell = params.ell
+    shifts = combin.index_vectors(ell, shell) if ell else ([()] if shell == 0 else [])
+    for mvec in combin.index_vectors(params.n, ell):
+        for svec in shifts:
+            sh = svec if side == "x" else tuple(-v for v in svec)
+            yield multi_residue(f, weightfn.special_point(mvec, params, side, sh), params=params)
+
+
+def special_residue_sum(f, params, side):
     """Sum of the nested residues of f at every special point x<m (side "x")
-    or y>m (side "y", with the (-1)^ell sign)."""
+    or y>m (side "y", with the (-1)^ell sign): shell 0 of the Jackson walk."""
     total = 0.0 + 0j
-    for mvec in combin.index_vectors(params.n, params.ell):
-        total += multi_residue(f, weightfn.special_point(mvec, params, side), params=params)
-    if side == "y":
-        total *= (-1.0) ** params.ell
-    return total
+    for r in _shell_residues(f, params, side, 0):
+        total += r
+    return total * (-1.0) ** params.ell if side == "y" else total
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +291,7 @@ def jackson_sum(Wf, wf, params, side="x", cutoff=60):
     has not settled by shell `cutoff`.  The tail estimate is scaled to the
     returned value.
     """
-    ell, n = params.ell, params.n
+    ell = params.ell
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
     ratio = abs(params.p * params.kappa / params.xi_prod)
@@ -306,15 +311,7 @@ def jackson_sum(Wf, wf, params, side="x", cutoff=60):
         )
 
     sign = 1.0 if side == "x" else (-1.0) ** ell
-
-    def shell_terms(shell):
-        for mvec in combin.index_vectors(n, ell):
-            for svec in combin.index_vectors(ell, shell):
-                sh = svec if side == "x" else tuple(-v for v in svec)
-                pt = weightfn.special_point(mvec, params, side, sh)
-                yield multi_residue(integrand, pt, params=params)
-
-    total, report = _shell_sum(shell_terms, cutoff, _JACKSON_TOL)
+    total, report = _shell_sum(lambda shell: _shell_residues(integrand, params, side, shell), cutoff, _JACKSON_TOL)
     report["tail_estimate"] *= abs(TWO_PI_I**ell * factorial(ell))
     return sign * TWO_PI_I**ell * factorial(ell) * total, report
 
@@ -363,7 +360,7 @@ def det_rhs(params, kind="mu_gen"):
                 arg = eta**s / ka
                 for l in range(n):
                     arg = arg / xi[l] if l <= m else arg * xi[l]
-                out *= th(arg) ** combin.counts("d", n, m + 1, ell, s)
+                out *= th(arg) ** combin.d_count(n, m + 1, ell, s)
         for s in range(ell):
             fac = qp(1 / eta) ** n * qp(eta ** (s + 1 - ell) / ka * xiprod)
             fac *= qp(p * eta ** (s + 1 - ell) * ka * xiprod)
@@ -389,7 +386,7 @@ def det_rhs(params, kind="mu_gen"):
                     arg = eta ** (s + ell - 1)
                     for l in range(m + 1):
                         arg /= xi[l] ** 2
-                    out *= th(arg) ** combin.counts("d", n - 1, m, ell, s)
+                    out *= th(arg) ** combin.d_count(n - 1, m, ell, s)
         else:
             for m in range(n - 1):
                 out *= xi[m] ** ((n - 2 - m) * comb(n + ell - 2, n - 1))
@@ -398,7 +395,7 @@ def det_rhs(params, kind="mu_gen"):
                     arg = p * eta ** (s + 1 - ell)
                     for l in range(m + 1, n):
                         arg *= xi[l] ** 2
-                    out *= th(arg) ** combin.counts("d", n - 1, m + 1, ell, s)
+                    out *= th(arg) ** combin.d_count(n - 1, m + 1, ell, s)
         special = xi[0] if kind == "mu_plus" else xi[-1]
         for s in range(ell):
             fac = qp(1 / eta) ** (n - 1) * qp(p * eta ** (s + 2 - 2 * ell) * xiprod**2)
@@ -522,7 +519,7 @@ def detMq_rhs(params):
             arg = eta**s / ka
             for l in range(n):
                 arg = arg / xi[l] if l <= m else arg * xi[l]
-            out *= th(arg) ** combin.counts("d", n, m + 1, ell, s)
+            out *= th(arg) ** combin.d_count(n, m + 1, ell, s)
     for m in range(n):
         out *= (z[m] / xi[m]) ** ((m + 1 - n) * comb(n + ell - 1, n))
     for s in range(ell):
@@ -795,11 +792,4 @@ def shapovalov(flavor, f1, f2, params):
             * np.asarray(f2(t), dtype=np.complex128)
         )
 
-    return _special_residue_sum(integrand, params, "x")
-
-
-def residue_balance_check(f, params):
-    """x-side residue sum, y-side residue sum, and their signed difference."""
-    xs = _special_residue_sum(f, params, "x")
-    ys = _special_residue_sum(f, params, "y")
-    return {"x_sum": xs, "y_sum_signed": ys, "difference": xs - ys}
+    return special_residue_sum(integrand, params, "x")

@@ -34,11 +34,6 @@ def e_coeff(k, Lam, q):
     return acc
 
 
-def op_qH(Lams, ell, q):
-    """Scalar of q^H on the weight-ell block: q^(sum Lam - ell)."""
-    return q_pow(q, sum(Lams) - ell)
-
-
 def _weight_factor(Lams, ks, q, rng, sign):
     out = 1.0 + 0j
     for i in rng:
@@ -469,20 +464,6 @@ def rpr_middle_matrix(coeffs, u, p):
     """The central theta/Pochhammer 2x2 of the closed form (the unitriangular
     prefactors stripped); its diagonal-gauge class matches the weight-1 block
     of the dynamical elliptic R-matrix."""
-    CF = rpr_closed_form(coeffs, u, p)
-    a, b, c, d, alpha, delta = coeffs
-    UL = np.array([[1.0, 0.0], [c / (a - d), 1.0]], dtype=np.complex128)
-    UR = np.array([[1.0, b / (delta - alpha)], [0.0, 1.0]], dtype=np.complex128)
-    return np.linalg.inv(UL) @ CF @ np.linalg.inv(UR)
-
-
-def cross_ratio(M):
-    """Two-sided-diagonal gauge invariant of a 2x2 matrix."""
-    return (M[0, 0] * M[1, 1]) / (M[0, 1] * M[1, 0])
-
-
-def rpr_closed_form(coeffs, u, p):
-    """Closed-form limit of the regularized product: theta/Pochhammer 2x2."""
     a, b, c, d, alpha, delta = coeffs
     # roots of det A(u) = (a - alpha u)(d - delta u) - b c u
     A2 = alpha * delta
@@ -494,7 +475,7 @@ def rpr_closed_form(coeffs, u, p):
     qp = lambda v: qpoch(v, p)
     th = lambda v: theta(v, p)
     pp = qp(p)
-    M = np.array(
+    return np.array(
         [
             [
                 a * th(alpha * u / a) * qp(p * lam * delta / a) * qp(p * mu * delta / a)
@@ -511,6 +492,17 @@ def rpr_closed_form(coeffs, u, p):
         ],
         dtype=np.complex128,
     )
+
+
+def cross_ratio(M):
+    """Two-sided-diagonal gauge invariant of a 2x2 matrix."""
+    return (M[0, 0] * M[1, 1]) / (M[0, 1] * M[1, 0])
+
+
+def rpr_closed_form(coeffs, u, p):
+    """Closed-form limit of the regularized product: UL M UR with the
+    unitriangular prefactors around the middle matrix M."""
+    a, b, c, d, alpha, delta = coeffs
     UL = np.array([[1.0, 0.0], [c / (a - d), 1.0]], dtype=np.complex128)
     UR = np.array([[1.0, b / (delta - alpha)], [0.0, 1.0]], dtype=np.complex128)
-    return UL @ M @ UR
+    return UL @ rpr_middle_matrix(coeffs, u, p) @ UR

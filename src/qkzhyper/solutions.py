@@ -166,6 +166,16 @@ def ell_R_evaluator(L1, L2, p, eta):
 # hypergeometric solutions of the qKZ equation
 
 
+def _global_element(l_index, tau, params):
+    """The global element Y^tau_l W^tau_l: the xi-permuted parameter set, the
+    field W_(tau l) on it, and Y^tau_l at the inverse-permuted z^(tau^-1)."""
+    pp = params.with_xi_permuted(tau)
+    lt = combin.permute_index(l_index, tau)
+    Y, _ = weightfn.adjusting_factor(lt, pp)
+    yval = Y(tuple(params.z[i] for i in combin.perm_inverse(tau)))
+    return pp, (lambda t: weightfn.W_ell(lt, t, pp, "subset")), yval
+
+
 def psi_solution(l_index, tau, params, method="jackson", spec=integrate.QuadratureSpec()):
     """Components of the solution section Psi^tau built from Y_l W^tau_l.
 
@@ -175,27 +185,17 @@ def psi_solution(l_index, tau, params, method="jackson", spec=integrate.Quadratu
     the x-side Jackson series; method="quadrature" integrates on the torus
     with `spec`.
     """
-    n, ell = params.n, params.ell
     tau = tuple(tau)
-    pp = params.with_xi_permuted(tau)
-    lt = combin.permute_index(l_index, tau)
-    Y, _ = weightfn.adjusting_factor(lt, pp)
-    sigma = combin.perm_inverse(tau)
-    z_inv = tuple(params.z[i] for i in sigma)
-    yval = Y(z_inv)
-    Wf = lambda t: weightfn.W_ell(lt, t, pp, "subset")
-    out = []
-    for mv in combin.index_vectors(n, ell):
-        mt = combin.permute_index(mv, tau)
-        wfn = lambda t: weightfn.w_trig(mt, t, pp, "subset")
-        if method == "jackson":
-            val, _ = integrate.jackson_sum(Wf, wfn, pp, side="x")
-        elif method == "quadrature":
-            val = integrate.hyper_I(Wf, wfn, pp, spec)
-        else:
-            raise ValueError("method must be 'jackson' or 'quadrature'")
-        out.append(weightfn.b_coeff(mv, params) * yval * val)
-    return np.asarray(out, dtype=np.complex128)
+    pp, Wf, yval = _global_element(l_index, tau, params)
+    idx = combin.index_vectors(params.n, params.ell)
+    ws = [(lambda t, mt=combin.permute_index(mv, tau): weightfn.w_trig(mt, t, pp, "subset")) for mv in idx]
+    if method == "jackson":
+        vals = [integrate.jackson_sum(Wf, wfn, pp, side="x")[0] for wfn in ws]
+    elif method == "quadrature":
+        (vals,) = integrate.hyper_I_many([Wf], ws, pp, spec).tolist()
+    else:
+        raise ValueError("method must be 'jackson' or 'quadrature'")
+    return np.asarray([weightfn.b_coeff(mv, params) * yval * v for mv, v in zip(idx, vals)], dtype=np.complex128)
 
 
 def qkz_residual(l_index, params):
@@ -233,13 +233,8 @@ def mono_functoriality_residual(l_index, params):
         raise ValueError("adjacent-swap functoriality test is n = 2 only")
     swap = (1, 0)
     lhs = psi_solution(l_index, swap, params)
-    pp = params.with_xi_permuted(swap)
-    lt = combin.permute_index(l_index, swap)
-    Y, _ = weightfn.adjusting_factor(lt, pp)
-    zs = (params.z[1], params.z[0])
-    yval = Y(zs)
-    Wf = lambda t: weightfn.W_ell(lt, t, pp, "subset")
-    pz = params.with_z(zs)
+    _, Wf, yval = _global_element(l_index, swap, params)
+    pz = params.with_z((params.z[1], params.z[0]))
     rhs = []
     for mv in combin.index_vectors(2, params.ell):
         wfn = lambda t: weightfn.w_trig(mv, t, pz, "subset")
@@ -285,14 +280,8 @@ def asymptotic_check(l_index, params_at_ratio, ratios=(1e-1, 1e-2, 1e-3), tau=No
         prm = params_at_ratio(r)
         n, ell = prm.n, prm.ell
         tt = tuple(tau) if tau is not None else tuple(range(n))
-        lt = combin.permute_index(l_index, tt)
-        pp = prm.with_xi_permuted(tt)
-        Y, _ = weightfn.adjusting_factor(lt, pp)
-        sigma = combin.perm_inverse(tt)
-        z_inv = tuple(prm.z[i] for i in sigma)
-        yval = Y(z_inv)
-        psi = psi_solution(l_index, tt, prm)
-        scaled = psi / yval
+        _, _, yval = _global_element(l_index, tt, prm)
+        scaled = psi_solution(l_index, tt, prm) / yval
         idx = combin.index_vectors(n, ell)
         iL = idx.index(tuple(l_index))
         Xi = weightfn.xi_asym_coeff(l_index, prm, tt)
@@ -336,6 +325,5 @@ def as_factorization_ratio(l_index, params):
         )
         Wm = weightfn.one_block_W(lm, 0, sub, kap_m)
         wm = weightfn.one_block_w(lm, 0, sub)
-        Im = integrate.hyper_I(Wm, wm, sub, integrate.QuadratureSpec(128))
-        prod *= Im
+        prod *= complex(integrate.hyper_I_many([Wm], [wm], sub, integrate.QuadratureSpec(128))[0, 0])
     return total / (pref * prod)

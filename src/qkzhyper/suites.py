@@ -59,7 +59,7 @@ def _sum_val(id_, lhs, rhs, tol, report):
 
 def _binomial_identity(id_):
     """Exact check of combin's binomial identity over j, k, l, m < 7."""
-    pairs = (combin.counts("binom_identity", *v) for v in itertools.product(range(7), repeat=4))
+    pairs = (combin.binomial_identity(*v) for v in itertools.product(range(7), repeat=4))
     return _res(id_, 0.0 if all(lhs == rhs for lhs, rhs in pairs) else 1.0, 0.5)
 
 
@@ -451,12 +451,9 @@ def vanishing_checks(seed):
         Plow = P.with_kappa(kap_low).with_ell(1)
         Wlow = lambda t: weightfn.W_ell((1, 0), t, Plow, "subset")
         Qel = weightfn.boundary_element(flavor, Wlow, P)
-        worst = 0.0
-        for mv in IV:
-            wfn = lambda t, l=mv: weightfn.w_trig(l, t, P, "subset")
-            Iq = integrate.hyper_I(Qel, wfn, P, integrate.QuadratureSpec(128))
-            worst = max(worst, abs(Iq))
-        out.append(_res(name, worst / scale, 1e-9))
+        ws = [(lambda t, l=mv: weightfn.w_trig(l, t, P, "subset")) for mv in IV]
+        (Iq,) = integrate.hyper_I_many([Qel], ws, P, integrate.QuadratureSpec(128)).tolist()
+        out.append(_res(name, max(abs(v) for v in Iq) / scale, 1e-9))
     # boundary elements: residues vanish at x-points, values vanish at y-points
     P = P0
     kap_low = P.kappa / P.eta
@@ -490,8 +487,8 @@ def vanishing_checks(seed):
     gfun = lambda t, z: t[..., 0] / ((t[..., 0] - Pg.xi[0] * z[0]) * (t[..., 0] - Pg.p / Pg.xi[1] * z[1]))
     Dg = weightfn.discrete_shift(gfun, 0, Pg, "D")
     Wf = lambda t: weightfn.W_ell((1, 0), t, Pg, "subset")
-    num = integrate.hyper_I(Wf, lambda t: Dg(t, Pg.z), Pg, integrate.QuadratureSpec(192))
-    den = integrate.hyper_I(Wf, lambda t: gfun(t, Pg.z), Pg, integrate.QuadratureSpec(192))
+    ws = [lambda t: Dg(t, Pg.z), lambda t: gfun(t, Pg.z)]
+    ((num, den),) = integrate.hyper_I_many([Wf], ws, Pg, integrate.QuadratureSpec(192)).tolist()
     out.append(_res("pairing-kills-derivatives", abs(num) / max(abs(den), 1e-300), 1e-9))
     return out
 
@@ -505,7 +502,7 @@ def jackson_checks(P, cfg=None):
     l, m = IV[0], IV[-1]
     Wf = lambda t: weightfn.W_ell(l, t, P, "subset")
     wfn = lambda t: weightfn.w_trig(m, t, P, "subset")
-    I0 = integrate.hyper_I(Wf, wfn, P, integrate.QuadratureSpec(_grid(cfg, 128)))
+    I0 = complex(integrate.hyper_I_many([Wf], [wfn], P, integrate.QuadratureSpec(_grid(cfg, 128)))[0, 0])
     cut = cfg.cutoff if cfg is not None else 60
     tag = f"({P.n},{P.ell})"
     out = []
@@ -564,8 +561,8 @@ def shapovalov_checks(P):
     # residue balance of the x- and y-side sums
     om_f = integrate.omega_elliptic(P)
     g = lambda t: om_f(t) * weightfn.W_ell(IV[0], t, P, "subset") * weightfn.W_ell(IV[-1], t, Pinv, "subset")
-    rep = integrate.residue_balance_check(g, P)
-    out.append(_res(f"residue-balance-{tag}", abs(rep["difference"]) / max(abs(rep["x_sum"]), 1e-300), 1e-8))
+    xs, ys = (integrate.special_residue_sum(g, P, side) for side in ("x", "y"))
+    out.append(_res(f"residue-balance-{tag}", abs(xs - ys) / max(abs(xs), 1e-300), 1e-8))
     return out
 
 

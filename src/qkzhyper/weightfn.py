@@ -24,7 +24,7 @@ import numpy as np
 from . import combin
 from .errors import ResonanceError
 from .grid import as_batch, as_points
-from .numkernel import DECL_CACHE, Factor, Integrand, qpoch, theta, theta_prime_one, theta_ratio
+from .numkernel import DECL_CACHE, Factor, Integrand, _dist_to_p_powers, qpoch, theta, theta_prime_one, theta_ratio
 
 _TINY = 1e-240
 
@@ -237,18 +237,9 @@ def b_coeff(l, params):
     return out
 
 
-# Multiplicative distance from the theta zero lattice p^Z at which a
-# tensor-coordinate denominator counts as resonant.
+# Multiplicative distance from the theta zero lattice p^Z below which a
+# tensor-coordinate denominator is resonant (as is u = 0).
 _RESONANCE_MARGIN = 1e-9
-
-
-def _theta_resonant(u, p):
-    """True when u sits within _RESONANCE_MARGIN of the zero lattice p^Z."""
-    au = abs(u)
-    if au == 0:
-        return True
-    s = round(math.log(au) / math.log(abs(p)))
-    return abs(u / p**s - 1.0) < _RESONANCE_MARGIN
 
 
 def c_coeff(l, params):
@@ -258,7 +249,7 @@ def c_coeff(l, params):
     n, ell = params.n, params.ell
 
     def th(u):
-        if _theta_resonant(u, p):
+        if u == 0 or _dist_to_p_powers(u, p) < _RESONANCE_MARGIN:
             raise ResonanceError("theta zero in a tensor-coordinate denominator")
         return theta(u, p)
 

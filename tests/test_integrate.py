@@ -134,7 +134,7 @@ def test_jackson_vs_torus():
         IV = combin.index_vectors(n, ell)
         Wf = lambda t: wf.W_ell(IV[0], t, P, "subset")
         wfn = lambda t: wf.w_trig(IV[-1], t, P, "subset")
-        I0 = ig.hyper_I(Wf, wfn, P, ig.QuadratureSpec(128))
+        I0 = complex(ig.hyper_I_many([Wf], [wfn], P, ig.QuadratureSpec(128))[0, 0])
         Ix, repx = ig.jackson_sum(Wf, wfn, P, side="x")
         Iy, repy = ig.jackson_sum(Wf, wfn, P, side="y")
         assert abs(Ix - I0) / abs(I0) < 1e-7
@@ -260,7 +260,7 @@ def test_jackson_l1_leading_residue():
     P = sample_params(9, 1, 1, regime="jackson_overlap")
     Wf = lambda t: wf.W_ell((1,), t, P, "subset")
     wfn = lambda t: wf.w_trig((1,), t, P, "subset")
-    I0 = ig.hyper_I(Wf, wfn, P, ig.QuadratureSpec(192))
+    I0 = complex(ig.hyper_I_many([Wf], [wfn], P, ig.QuadratureSpec(192))[0, 0])
     f = lambda t: phase_phi(t, P) / t[..., 0] * wfn(t) * Wf(t)
     val = 2j * np.pi * ig.multi_residue(f, wf.special_point((1,), P, "x"), params=P)
     # the shell-0 term dominates with the overlap decay rate
@@ -466,8 +466,8 @@ def test_residue_balance_rational():
         tt = t[..., 0]
         return 1.0 / ((tt - x0) * (tt - y0))
 
-    rep = ig.residue_balance_check(f, P)
-    assert abs(rep["difference"]) < 1e-11 * abs(rep["x_sum"])
+    xs, ys = ig.special_residue_sum(f, P, "x"), ig.special_residue_sum(f, P, "y")
+    assert abs(xs - ys) < 1e-11 * abs(xs)
 
 
 def test_residue_balance_omega():
@@ -476,8 +476,30 @@ def test_residue_balance_omega():
     f1 = lambda t: wf.W_ell((1, 1), t, P, "subset")
     f2 = lambda t: wf.W_ell((2, 0), t, P.with_kappa(1 / P.kappa), "subset")
     g = lambda t: om_f(t) * f1(t) * f2(t)
-    rep = ig.residue_balance_check(g, P)
-    assert abs(rep["difference"]) / abs(rep["x_sum"]) < 1e-8
+    xs, ys = ig.special_residue_sum(g, P, "x"), ig.special_residue_sum(g, P, "y")
+    assert abs(xs - ys) / abs(xs) < 1e-8
+
+
+def test_special_residue_sum_at_ell0_evaluates_the_empty_point():
+    P = sample_params(3, 2, 1, regime="jackson_overlap").with_ell(0)
+    calls = []
+    f = lambda t: calls.append(t.shape) or np.full(t.shape[:-1], 3.0 + 1j)
+    assert ig.special_residue_sum(f, P, "x") == ig.special_residue_sum(f, P, "y") == 3.0 + 1j
+    assert calls == [(1, 0), (1, 0)]
+
+
+def test_jackson_sum_at_ell0_stops_after_the_first_shells():
+    # shell 0 is the empty point and every later shell is empty, so the sum
+    # stops at the first shell the stopping rule allows, not at the cutoff
+    P = sample_params(3, 2, 1, regime="jackson_overlap").with_ell(0)
+    calls = []
+    Wf = lambda t: calls.append(t.shape) or wf.W_ell((0, 0), t, P, "subset")
+    wfn = lambda t: wf.w_trig((0, 0), t, P, "subset")
+    for side in ("x", "y"):
+        val, report = ig.jackson_sum(Wf, wfn, P, side=side)
+        assert val == ig.hyper_I_many([Wf], [wfn], P)[0, 0]
+        assert report["shells"] == 4
+    assert calls == [(1, 0)] * 4
 
 
 def test_residue_vs_annulus_quadrature():

@@ -12,12 +12,6 @@ X, Y = 1.7 + 0.4j, 0.6 - 0.3j
 LAMS = (L1, L2)
 
 
-def test_qH_scalar():
-    for ell in (0, 1, 2):
-        want = rt.q_pow(Q, L1 + L2 - ell)
-        assert abs(rt.op_qH(LAMS, ell, Q) - want) < 1e-14 * abs(want)
-
-
 def test_commutator_EF():
     for ell in (1, 2, 3):
         E_up = rt.op_E(LAMS, ell, Q)
@@ -25,7 +19,7 @@ def test_commutator_EF():
         E_hi = rt.op_E(LAMS, ell + 1, Q)
         F_hi = rt.op_F(LAMS, ell, Q)
         comm = E_hi @ F_hi - F_dn @ E_up
-        qH = rt.op_qH(LAMS, ell, Q)
+        qH = rt.q_pow(Q, L1 + L2 - ell)
         want = (qH**2 - qH**-2) / (Q - 1 / Q) * np.eye(comm.shape[0])
         assert np.linalg.norm(comm - want) / np.linalg.norm(want) < 1e-12
 

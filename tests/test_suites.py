@@ -58,3 +58,28 @@ def test_lattice_sum_records_carry_their_sums_numerics():
         assert type(r["tail_estimate"]) is float and 0 <= r["tail_estimate"] < r["tol"] * abs(r["rhs"])
         assert r["status"] == "pass"
     json.dumps([cli._json_ready(r) for r in recs])
+
+
+def test_vanishing_checks_evaluate_each_special_kappa_boundary_element_once(monkeypatch):
+    # one pairing pass per boundary element against all of its w's
+    seed = 205
+    P0 = suites.sample_params(seed, 2, 2)
+    special = {P0.kappa_special(sign) for sign in (+1, -1)}
+    calls = {}
+    build = suites.weightfn.boundary_element
+
+    def counted(flavor, W_lower, params):
+        f = build(flavor, W_lower, params)
+        if params.kappa not in special:
+            return f
+        calls[flavor] = 0
+
+        def g(t):
+            calls[flavor] += 1
+            return f(t)
+
+        return g
+
+    monkeypatch.setattr(suites.weightfn, "boundary_element", counted)
+    suites.vanishing_checks(seed)
+    assert calls == {"Q": 1, "Qprime": 1}
