@@ -59,9 +59,15 @@ def torus_integral(f, ell, spec=QuadratureSpec(), measure="dt_over_t"):
 
 
 def _grid_chunks(centers, radii, M):
+    """The ProductGrid chunks of _grid_slabs, in row-major node order."""
+    return (t for _, t in _grid_slabs(centers, radii, M))
+
+
+def _grid_slabs(centers, radii, M):
     """The product grid t_a = c_a + r_a exp(2 pi i (j + (a + 1)/(ell + 2)) / M),
-    j < M, as ProductGrid chunks of at most _CHUNK nodes (bounded memory) in
-    row-major node order.
+    j < M, as (slices, ProductGrid) chunks of at most _CHUNK nodes (bounded
+    memory) in row-major node order; slices[a] is the range of global node
+    indices j that the chunk holds on axis a.
 
     A chunk is a slab along axis 0 with the other axes whole; when one row of
     axis 0 alone exceeds _CHUNK, the leading axes are fixed one node at a time
@@ -82,9 +88,10 @@ def _grid_chunks(centers, radii, M):
     cut = ell - 1 - whole
     step = _CHUNK // M**whole
     for fixed in itertools.product(range(M), repeat=cut):
-        head = [nodes[a][j : j + 1] for a, j in enumerate(fixed)]
+        head = [slice(j, j + 1) for j in fixed]
         for start in range(0, M, step):
-            yield ProductGrid(head + [nodes[cut][start : start + step]] + nodes[cut + 1 :])
+            slices = head + [slice(start, min(start + step, M))] + [slice(0, M)] * whole
+            yield slices, ProductGrid([x[s] for x, s in zip(nodes, slices)])
 
 
 def auto_radius(params):
@@ -141,6 +148,9 @@ def hyper_I_many(Ws, ws, params, spec=QuadratureSpec()):
 # distance to the nearest other singularity.
 _SMAX = 24
 _SHRINK = 0.05
+# Relative error estimate at which a residue circle's node count is accepted
+# (see multi_residue).
+_RESIDUE_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=32)
@@ -160,56 +170,106 @@ def _pole_catalog(params):
 
 
 def _residue_radii(center, params):
-    """Per-coordinate circle radii for the nested residue at `center`.
+    """(radii, rho): per-coordinate circle radii for the nested residue at
+    `center`, and rho, the largest ratio of a circle's radius to the nearest
+    singularity it must exclude (the trapezoidal rule converges like rho^M).
 
     Base radius is _SHRINK times the distance to the nearest other
-    singularity (fixed catalog poles, eta-shifted partners, origin); poles
-    within 1e-9 |c_k| of c_k are the point's own, and more than 6 of them
-    is a degeneracy.  When a pair divisor t_k = m t_j of the catalog passes
-    through the center (|c_k / c_j / m - 1| < 1e-8), the inner circle
-    (larger k; extracted earlier per the nested convention) is forced well
-    below the divisor's displacement under the outer circle, so the
-    extraction keeps picking the constant divisor only.
+    singularity (fixed catalog poles, eta-shifted partners, origin), taken
+    for every coordinate at once; poles within 1e-9 |c_k| of c_k are the
+    point's own, and more than 6 of them is a degeneracy.  When a pair
+    divisor t_k = m t_j of the catalog passes through the center
+    (|c_k - m c_j| < 1e-8 |m c_j|), the inner circle (larger k; extracted
+    earlier per the nested convention) is forced to at most 0.2 times the
+    divisor's displacement |c_k / c_j| r_j under the outer circle, so the
+    extraction keeps picking the constant divisor only.  A plain axis has
+    rho = _SHRINK; a divisor axis has r_k / (|c_k / c_j| r_j) <= 0.2, which
+    also bounds the singularity that the outer circle j sees inside its own.
     """
-    ell = len(center)
     c = np.asarray(center, dtype=np.complex128)
+    ell = len(c)
     fixed, pair = _pole_catalog(params)
+    # every coordinate against the fixed catalog and the partners m c_b at once
     partners = np.multiply.outer(pair, c)
-    radii = []
+    d = np.abs(c[:, None] - np.concatenate((fixed, partners.ravel())))
+    # |c_k - m c_j| as (k, m, j): the divisor t_k = m t_j passes through the
+    # centre where it is below 1e-8 |m c_j|; a coordinate's own partners
+    # m c_k are none of its singularities
+    pair_d = d[:, len(fixed) :].reshape(ell, len(pair), ell)
+    through = (pair_d < 1e-8 * np.abs(partners)).any(axis=1).tolist()
+    axes = np.arange(ell)
+    pair_d[axes, :, axes] = math.inf
+    own = d < 1e-9 * np.abs(c)[:, None]
+    d[own] = math.inf
+    dmin = d.min(axis=1).tolist()
+    if max(np.count_nonzero(own, axis=1).tolist()) > 6 or math.inf in dmin:
+        raise DegeneracyError("multiple singularity intersection at residue point")
+    radii, rho = [], _SHRINK
     for k in range(ell):
-        ck = c[k]
-        cands = np.concatenate((fixed, partners[:, np.arange(ell) != k].ravel()))
-        d = np.abs(ck - cands)
-        own = d < 1e-9 * abs(ck)
-        dmin = float(d[~own].min(initial=math.inf))
-        if np.count_nonzero(own) > 6 or not math.isfinite(dmin):
-            raise DegeneracyError("multiple singularity intersection at residue point")
-        rk = _SHRINK * dmin
-        through = np.abs(np.divide.outer(ck / c[:k], pair) - 1.0) < 1e-8
-        for j in np.flatnonzero(through.any(axis=1)):
-            rk = min(rk, 0.2 * abs(ck / c[j]) * radii[j])
+        divisors = [(abs(c[k] / c[j]), radii[j]) for j in range(k) if through[k][j]]
+        rk = min([_SHRINK * dmin[k]] + [0.2 * m * rj for m, rj in divisors])
+        rho = max([rho] + [rk / (m * rj) for m, rj in divisors])
         radii.append(rk)
-    return tuple(radii)
+    return tuple(radii), rho
+
+
+def _circle_sums(f, center, radii, M):
+    """Sums of the summand f(t) prod_k (t_k - c_k) over the offset M-node
+    circles: over all M^ell nodes, over the (M/2)^ell nodes with even index
+    on every axis (an offset M/2-node rule, selected by global node index so
+    that the slabs of _grid_slabs do not shift it), and of its modulus."""
+    total = half = 0.0 + 0j
+    size = 0.0
+    for slices, t in _grid_slabs(center, radii, M):
+        vals = np.asarray(f(t), dtype=np.complex128)
+        for k in range(len(center)):
+            vals = vals * (t[..., k] - center[k])
+        vals = np.broadcast_to(vals, t.shape[:-1])
+        total += vals.sum()
+        half += vals[tuple(slice(s.start % 2, None, 2) for s in slices)].sum()
+        size += np.abs(vals).sum()
+    return total, half, size
 
 
 def multi_residue(f, center, params=None, plan=None):
     """Nested residue Res_{t1=c1}(... Res_{tl=cl} f ...) by iterated
-    small-circle trapezoidal contours (simple poles along each extraction)."""
+    small-circle trapezoidal contours (simple poles along each extraction).
+
+    An explicit plan is evaluated on its radii with its node count.  Without
+    one, the radii and rho come from _residue_radii at `params`, and the
+    node count from the rule's own error estimate: M starts at the smallest
+    power of two with rho^(M/2) <= _RESIDUE_TOL, and the mean Q_M of the
+    summand is accepted once |Q_M - Q_(M/2)| <= _RESIDUE_TOL * mean|summand|,
+    Q_(M/2) being the mean over the even nodes.  Under geometric convergence
+    that difference is the error of Q_(M/2), and the error of Q_M is about
+    its square.  Otherwise M doubles; past ResiduePlan.points (the cap) it
+    raises ConvergenceError.
+    """
     center = np.asarray(center, dtype=np.complex128)
     ell = len(center)
     if ell == 0:
         return complex(f(np.zeros((1, 0), dtype=np.complex128))[0])
-    if plan is None:
-        if params is None:
-            raise ValueError("need params or an explicit plan")
-        plan = ResiduePlan(tuple(center), _residue_radii(center, params))
-    total = 0.0 + 0j
-    for t in _grid_chunks(center, plan.radii, plan.points):
-        vals = np.asarray(f(t), dtype=np.complex128)
-        for k in range(ell):
-            vals = vals * (t[..., k] - center[k])
-        total += np.broadcast_to(vals, t.shape[:-1]).sum()
-    return complex(total / plan.points**ell)
+    if plan is not None:
+        total, _, _ = _circle_sums(f, center, plan.radii, plan.points)
+        return complex(total / plan.points**ell)
+    if params is None:
+        raise ValueError("need params or an explicit plan")
+    radii, rho = _residue_radii(center, params)
+    M = 2
+    while rho ** (M // 2) > _RESIDUE_TOL and M < ResiduePlan.points:
+        M *= 2
+    while True:
+        total, half, size = _circle_sums(f, center, radii, M)
+        value = total / M**ell
+        estimate = abs(value - half / (M // 2) ** ell)
+        if estimate <= _RESIDUE_TOL * size / M**ell:
+            return complex(value)
+        if M >= ResiduePlan.points:
+            raise ConvergenceError(
+                f"residue at {M} nodes per circle not settled: estimate {estimate:.3g}, "
+                f"mean |summand| {size / M**ell:.3g}"
+            )
+        M *= 2
 
 
 def _shell_residues(f, params, side, shell):

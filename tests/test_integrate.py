@@ -204,15 +204,17 @@ def test_residue_radii_closed_forms():
     P1 = ParameterSet(p=p, eta=1.8 + 0.2j, kappa=0.7, xi=(xi,), z=(z,), n=1, ell=1)
     # plain point x = xi z: its own pole is skipped and the nearest other
     # catalog pole is p xi z (closer than the origin and z / xi)
-    (r,) = ig._residue_radii((xi * z,), P1)
+    (r,), rho = ig._residue_radii((xi * z,), P1)
     assert abs(r - 0.05 * abs(xi * z) * abs(1 - p)) < 1e-15
+    assert rho == 0.05
     # divisor through the centre: (c_0, c_1) = (xi z / eta, xi z) has
     # c_1 = eta c_0, so the inner radius is clamped to 0.2 |c_1 / c_0| r_0
     P2 = P1.with_ell(2)
     c = wf.special_point((2,), P2, "x")
-    r0, r1 = ig._residue_radii(c, P2)
+    (r0, r1), rho = ig._residue_radii(c, P2)
     assert abs(r0 - _residue_radii_loop(c, P2)[0]) < 1e-15 * r0
     assert abs(r1 - 0.2 * abs(c[1] / c[0]) * r0) < 1e-15 * r1
+    assert abs(rho - 0.2) < 1e-15  # the divisor's ratio sets the rule's rate
     assert r1 < 0.05 * min(abs(c[1] - v) for v in (0.0, p * xi * z, z / xi))
 
 
@@ -224,7 +226,7 @@ def test_residue_radii_match_scalar_reference():
                 for shift in ((0,) * ell, (1,) + (0,) * (ell - 1), (0,) * (ell - 1) + (2,)):
                     sh = shift if side == "x" else tuple(-v for v in shift)
                     c = wf.special_point(mvec, P, side, sh)
-                    got = ig._residue_radii(c, P)
+                    got, _ = ig._residue_radii(c, P)
                     want = _residue_radii_loop(c, P)
                     assert np.allclose(got, want, rtol=1e-14, atol=0), (mvec, side, shift)
 
@@ -252,6 +254,111 @@ def test_residue_radii_degenerate_point():
     # pole and three pair divisors per partner meet there, seven in all
     with pytest.raises(DegeneracyError):
         ig._residue_radii((0.5, 0.5, 0.5), P)
+
+
+def _on_pair_divisor(center, params, smax=24):
+    """Whether a pair divisor t_k = p^s eta^e t_j (j < k) passes through the centre."""
+    p, eta = params.p, params.eta
+    return any(
+        abs(center[k] / center[j] / (p**s * eta**e) - 1) < 1e-8
+        for k in range(len(center))
+        for j in range(k)
+        for e in (-1, 0, 1)
+        for s in range(-smax, smax + 1)
+    )
+
+
+def _jackson_integrand(P):
+    IV = combin.index_vectors(P.n, P.ell)
+    phit = ig._phase_tilde(P)
+    return lambda t: phit(t) * wf.w_trig(IV[-1], t, P, "subset") * wf.W_ell(IV[0], t, P, "subset")
+
+
+def _mean_abs_summand(f, c, radii, M):
+    return ig._circle_sums(f, c, radii, M)[2] / M ** len(c)
+
+
+def test_residue_nodes_sized_by_estimate():
+    # the (2, 2) Jackson points of suite_jackson's draw, shells 0-2: 32^2
+    # nodes where a pair divisor passes through the centre (rho = 0.2), 16^2
+    # elsewhere (rho = 0.05), each accepted at its first count; every value
+    # agrees with the fixed 64-node rule on the same radii
+    P = sample_params(6 + 2 + 2, 2, 2, regime="jackson_overlap")
+    f = _jackson_integrand(P)
+    counts = {}
+    for side in ("x", "y"):
+        for shell in range(3):
+            for mvec in combin.index_vectors(2, 2):
+                for svec in combin.index_vectors(2, shell):
+                    c = wf.special_point(mvec, P, side, svec if side == "x" else tuple(-v for v in svec))
+                    shapes = []
+                    got = ig.multi_residue(lambda t: shapes.append(t.shape[:-1]) or f(t), c, params=P)
+                    M = 32 if _on_pair_divisor(c, P) else 16
+                    assert shapes == [(M, M)], (side, mvec, svec)
+                    counts[M] = counts.get(M, 0) + 1
+                    radii, _ = ig._residue_radii(c, P)
+                    want = ig.multi_residue(f, c, plan=ig.ResiduePlan(tuple(c), radii, 64))
+                    assert abs(got - want) < 1e-13 * _mean_abs_summand(f, c, radii, 64), (side, mvec, svec)
+    assert counts[16] > 0 and counts[32] > 0
+
+
+def test_residue_nodes_double_and_cap():
+    # an extra pole a outside the catalog at |a - c| = r / rho: the
+    # summand 1 / (t - a) has Res = 1 / (c - a), and its 16-node rule
+    # fails the estimate once rho^8 > 1e-8
+    P = sample_params(9, 2, 1, regime="jackson_overlap")
+    c = wf.special_point((1, 0), P, "x")
+    (r,), rho = ig._residue_radii(c, P)
+    assert rho == ig._SHRINK
+    for ratio, want_nodes in ((0.02, [16]), (0.25, [16, 32]), (0.5, [16, 32, 64])):
+        a = c[0] + r / ratio
+        nodes = []
+        f = lambda t: nodes.append(t.shape[0]) or 1.0 / ((t[..., 0] - c[0]) * (t[..., 0] - a))
+        assert abs(ig.multi_residue(f, c, params=P) - 1.0 / (c[0] - a)) < 1e-15 / abs(c[0] - a)
+        assert nodes == want_nodes, ratio
+    # at rho = 0.9 the estimate never settles by 64 nodes: no value is returned
+    a = c[0] + r / 0.9
+    with pytest.raises(ConvergenceError):
+        ig.multi_residue(lambda t: 1.0 / ((t[..., 0] - c[0]) * (t[..., 0] - a)), c, params=P)
+
+
+def test_residue_estimate_independent_of_chunks(monkeypatch):
+    # the even-node sum is selected by global node index, so slabs that start
+    # on an odd node (step 3 here) leave the sums, the estimate and the value
+    # unchanged; the even-node sum is the offset M/2-node rule itself
+    c = (1.0, 2.0 + 0.5j, -1.5j)
+    a = (1.3, 2.2 + 0.5j, -1.5j + 0.25)
+    radii, M = (0.1, 0.1, 0.1), 8
+
+    def f(t):
+        out = 1.0
+        for k in range(3):
+            out = out / ((t[..., k] - c[k]) * (t[..., k] - a[k]))
+        return out
+
+    whole = ig._circle_sums(f, c, radii, M)
+    calls = []
+    monkeypatch.setattr(ig, "_CHUNK", 3 * M)
+    sliced = ig._circle_sums(lambda t: calls.append(t.shape[:-1]) or f(t), c, radii, M)
+    assert len(calls) == M * 3 and (1, 3, M) in calls
+    for x, y in zip(whole, sliced):
+        assert abs(x - y) < 1e-14 * abs(whole[2])
+    j = np.arange(0, M, 2)
+    axes = [ck + r * np.exp(2j * np.pi * (j + (k + 1.0) / 5) / M) for k, (ck, r) in enumerate(zip(c, radii))]
+    t = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    half = np.sum(f(t) * np.prod(t - np.asarray(c), axis=-1))
+    assert abs(sliced[1] - half) < 1e-14 * abs(whole[2])
+    estimate = abs(whole[0] / M**3 - whole[1] / (M // 2) ** 3)
+    assert estimate > 1e-8 * whole[2] / M**3  # far from settled at this M
+    # a plan-less ell = 3 residue: the same value in slabs as in one chunk
+    P = sample_params(23, 2, 3)
+    g = _jackson_integrand(P)
+    pt = wf.special_point((2, 1), P, "x")
+    monkeypatch.undo()
+    one = ig.multi_residue(g, pt, params=P)
+    monkeypatch.setattr(ig, "_CHUNK", 1500)  # one node row of axis 0 per slab
+    radii, _ = ig._residue_radii(pt, P)
+    assert abs(ig.multi_residue(g, pt, params=P) - one) < 1e-14 * _mean_abs_summand(g, pt, radii, 16)
 
 
 def test_jackson_l1_leading_residue():
