@@ -485,12 +485,10 @@ def qbeta_rhs(a, b, c, x, p, ell):
 
 
 def _x_pair_factors(x, ell):
-    """(t_j/t_k)_inf / (x t_j/t_k)_inf, j != k, as two plain products.
-
-    With the ratio kernel dividing once per block of terms, one paired ratio
-    costs no more: at C03's 96^2 pair shape (22 terms) 1.5-1.7 ms against
-    1.5-1.7 ms for two products and a divide, at 2^17 points 16-18 ms
-    against 19-24 ms (2-core Xeon, min of 15 timings)."""
+    """(t_j/t_k)_inf / (x t_j/t_k)_inf, j != k, as two one-sided factors.
+    The compiled Integrand pairs the one-sided ends of a term on one
+    coordinate set, so these two share one ratio row, (t_j/t_k | x t_j/t_k),
+    in the block of the pair {j, k}."""
     pairs = itertools.permutations(range(ell), 2)
     return [f for j, k in pairs for f in (Factor("qpoch", 1, a=j, b=k), Factor("qpoch", den=x, a=j, b=k))]
 

@@ -9,6 +9,7 @@ bound |u| |p|^N / (1-|p|) <= tail_tol.
 
 import cmath
 import functools
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -145,34 +146,79 @@ def _arg(c, f, ts):
     return c / ts[..., f.b] if f.a is None else c * ts[..., f.a] / ts[..., f.b]
 
 
-def _side(f, c, ts, p):
-    """kind(c x) on the points ts."""
-    if f.kind == "linear":
-        # 1 - c x as a coordinate difference keeps full relative accuracy at its zero
-        if f.b is None:
-            return c * (1 / c - ts[..., f.a])
-        return (ts[..., f.b] - (c if f.a is None else c * ts[..., f.a])) / ts[..., f.b]
-    u = _arg(c, f, ts)
-    return u if f.kind == "monomial" else qpoch(u, p) if f.kind == "qpoch" else theta(u, p)
+def _side(f, c, ts):
+    """kind(c x) on the points ts, kind "linear" or "monomial"."""
+    if f.kind == "monomial":
+        return _arg(c, f, ts)
+    # 1 - c x as a coordinate difference keeps full relative accuracy at its zero
+    if f.b is None:
+        return c * (1 / c - ts[..., f.a])
+    return (ts[..., f.b] - (c if f.a is None else c * ts[..., f.a])) / ts[..., f.b]
 
 
-def _value(f, ts, p):
-    """The factor on the points ts, a new array."""
-    if f.num is not None and f.den is not None and f.kind in ("qpoch", "theta"):
-        # one termwise-paired kernel call, overflow-safe on far shells
-        return (qpoch_ratio if f.kind == "qpoch" else theta_ratio)(_arg(f.num, f, ts), _arg(f.den, f, ts), p)
+def _value(f, ts):
+    """A linear or monomial factor on the points ts, a new array."""
     if f.den is None:
-        return _side(f, f.num, ts, p)
-    v = np.reciprocal(_side(f, f.den, ts, p))
-    return v if f.num is None else np.multiply(v, _side(f, f.num, ts, p), out=v)
+        return _side(f, f.num, ts)
+    v = np.reciprocal(_side(f, f.den, ts))
+    return v if f.num is None else np.multiply(v, _side(f, f.num, ts), out=v)
+
+
+def _coords(f):
+    """(key, s): the factor's coordinate set, (a,) or (a, b) with a < b, and
+    the power s = +-1 with which the set's coordinate, t_a or t_a / t_b,
+    gives the factor's x."""
+    if f.b is None:
+        return (f.a,), 1
+    if f.a is None:
+        return (f.b,), -1
+    return ((f.a, f.b), 1) if f.a < f.b else ((f.b, f.a), -1)
+
+
+def _term_value(parts, const, shape):
+    """const times the product of a term's parts (fresh arrays, one per
+    coordinate set, each broadcasting to `shape`) as one array of that shape.
+    A part multiplies in place into a larger one whose shape covers its own,
+    so on a product grid an axis row meets the pair grid holding its axis,
+    and only what is left meets the full grid, once per pair grid."""
+    roots = []
+    for v in sorted(parts, key=lambda v: v.size, reverse=True):
+        host = next((r for r in roots if all(b in (1, a) for a, b in zip(r.shape, v.shape))), None)
+        if host is None:
+            roots.append(v)
+        else:
+            host *= v
+    if not roots:
+        return np.full(shape, const, dtype=np.complex128)
+    if const != 1:
+        roots[-1] *= const
+    if len(roots) == 1 and roots[0].shape == shape:
+        return roots[0]
+    out = np.multiply(roots[0], roots[1] if len(roots) > 1 else 1.0, out=np.empty(shape, dtype=np.complex128))
+    for v in roots[2:]:
+        out *= v
+    return out
 
 
 class Integrand:
     """const * sum over terms of the product of the term's factors, on one
-    point (ell,), a batch (..., ell) or a grid.ProductGrid, where the factors
-    of each axis row (or pair of axes) multiply before they meet the grid.
-    Exact inverses in a term cancel when it is declared.  A single point with
-    a denominator within POLE_GUARD of a zero is refused."""
+    point (ell,), a batch (..., ell) or a grid.ProductGrid.  Exact inverses
+    in a term cancel when it is declared.  A single point with a denominator
+    within POLE_GUARD of a zero is refused.
+
+    The q-Pochhammer and theta factors are compiled once, here, into one
+    block of paired-ratio rows (num u | den u), each row the factor
+    (num u; p)_inf / (den u; p)_inf, per coordinate set: an axis a, with
+    u = c t_a^(+-1), or a pair a < b, with u = c (t_a / t_b)^(+-1).  A
+    two-sided qpoch factor is one row, a two-sided theta two (its
+    (p/u; p)_inf ends the second).  The one-sided ends of one term and set
+    pair numerator with denominator into rows in declaration order, a
+    leftover end against (0; p)_inf = 1, and the (p; p)_inf of a one-sided
+    theta goes into the term's constant.  A call makes one `qpoch_ratio`
+    call per block, so one `nterms` per block, from max|u| over its rows;
+    then the rows of each term multiply within their block, with the term's
+    linear and monomial factors on that set, and the term is formed by
+    `_term_value`."""
 
     def __init__(self, p, terms, const=1.0):
         self.p, self.const, self.terms = p, const, []
@@ -185,21 +231,71 @@ class Integrand:
                 else:
                     kept.append(f)
             self.terms.append(kept)
+        self._compile()
+
+    def _compile(self):
+        p, blocks, self._plan = self.p, {}, []
+        for term in self.terms:
+            const, rows, ends, other = self.const, {}, {}, {}
+            for f in term:
+                key, s = _coords(f)
+                if f.kind not in ("qpoch", "theta"):
+                    other.setdefault(key, []).append(f)
+                    continue
+                split = (lambda c: [(c, s), (p / c, -s)]) if f.kind == "theta" else (lambda c: [(c, s)])
+                if f.num is not None and f.den is not None:
+                    rows.setdefault(key, []).extend(zip(split(f.num), split(f.den)))
+                    continue
+                side = f.den is not None
+                ends.setdefault(key, ([], []))[side].extend(split(f.den if side else f.num))
+                if f.kind == "theta":
+                    const = const / pp_inf(p) if side else const * pp_inf(p)
+            for key, (nums, dens) in ends.items():
+                rows.setdefault(key, []).extend(itertools.zip_longest(nums, dens, fillvalue=(0.0, 1)))
+            spans = {}
+            for key in {**rows, **other}:
+                block = blocks.setdefault(key, [])
+                spans[key] = (len(block), len(block) + len(rows.get(key, ())), other.get(key, ()))
+                block.extend(rows.get(key, ()))
+            self._plan.append((const, spans))
+        # per block: the 2R coefficients c of the ends (numerators, then
+        # denominators), each u = c x, and the indices of the ends whose u is
+        # c / x instead, with their coefficients
+        self._blocks = {}
+        for key, block in blocks.items():
+            if block:
+                c, s = zip(*[end for side in (0, 1) for end in (row[side] for row in block)])
+                flip = np.flatnonzero(np.array(s) < 0)
+                c = np.array(c, dtype=np.complex128)
+                self._blocks[key] = (c, flip, c[flip])
+
+    def _rows(self, key, ts):
+        """The ratio rows of one block on the points ts: one kernel call."""
+        c, flip, c_flip = self._blocks[key]
+        x = ts[..., key[0]] if len(key) == 1 else ts[..., key[0]] / ts[..., key[1]]
+        u = np.multiply.outer(c, x)
+        if flip.size:
+            u[flip] = np.divide.outer(c_flip, x)
+        del x  # a pair grid's x need not stay alive beside the 2R ends and R rows of the call
+        R = len(c) // 2
+        return qpoch_ratio(u[:R], u[R:], self.p)
 
     def __call__(self, t):
         ts, single = as_batch(t)
         if single:
             self._guard(ts)
+        rows = {key: self._rows(key, ts) for key in self._blocks}
         acc = None
-        for term in self.terms:
-            out = np.full(ts.shape[:-1], self.const, dtype=np.complex128)
-            rows = {}  # one running product per set of coordinates
-            for f in term:
-                key, v = frozenset((f.a, f.b)), _value(f, ts, self.p)
-                rows[key] = v if key not in rows else np.multiply(rows[key], v, out=v)
-            for v in rows.values():
-                out *= v
-            acc = out if acc is None else np.add(acc, out, out=acc)
+        for const, spans in self._plan:
+            parts = []
+            for key, (s, e, other) in spans.items():
+                v = None if s == e else rows[key][s] if e - s == 1 else rows[key][s:e].prod(axis=0)
+                for f in other:
+                    w = _value(f, ts)
+                    v = w if v is None else np.multiply(v, w, out=v)
+                parts.append(v)
+            term = _term_value(parts, const, ts.shape[:-1])
+            acc = term if acc is None else np.add(acc, term, out=acc)
         return complex(acc[0]) if single else acc
 
     def _guard(self, ts):

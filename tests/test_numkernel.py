@@ -6,18 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkzhyper import kernels
+from qkzhyper import combin, integrate, kernels
+from qkzhyper.cli_params import sample_params
 from qkzhyper.errors import ConvergenceError, DomainError, PoleProximityError, ResonanceError
+from qkzhyper.grid import ProductGrid, as_batch
 from qkzhyper.kernels import BACKEND, qpoch_array
 from qkzhyper.numkernel import (
     DEFAULT_POLICY,
     POLE_GUARD,
+    Factor,
+    Integrand,
     ParameterSet,
     TruncationPolicy,
     assert_admissible,
     phase_phi,
     p_gamma_sin,
     p_power_bracket,
+    phase_declaration,
     pp_inf,
     qpoch,
     qpoch_ratio,
@@ -25,7 +30,7 @@ from qkzhyper.numkernel import (
     theta_prime_one,
     theta_ratio,
 )
-from qkzhyper.weightfn import W_ell, w_trig
+from qkzhyper.weightfn import W_ell, subset_form, w_trig
 
 P = ParameterSet(
     p=0.13 + 0.05j,
@@ -454,3 +459,156 @@ def test_p_power_column_is_read_only():
         col[0, 0] = 2.0
     assert kernels._p_powers(complex(p), n) is col
     assert np.allclose(col[:, 0], p ** np.arange(n), rtol=1e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# declared integrands against the per-factor loop
+
+
+def _ref_arg(c, f, ts):
+    """c x on the points ts, x = t_a, 1 / t_b or t_a / t_b."""
+    if f.b is None:
+        return c * ts[..., f.a]
+    return c / ts[..., f.b] if f.a is None else c * ts[..., f.a] / ts[..., f.b]
+
+
+def _ref_side(f, c, ts, p):
+    """kind(c x) on the points ts, one factor side alone."""
+    if f.kind == "linear":
+        if f.b is None:
+            return c * (1 / c - ts[..., f.a])
+        return (ts[..., f.b] - (c if f.a is None else c * ts[..., f.a])) / ts[..., f.b]
+    u = _ref_arg(c, f, ts)
+    return u if f.kind == "monomial" else qpoch(u, p) if f.kind == "qpoch" else theta(u, p)
+
+
+def _ref_value(f, ts, p):
+    """One factor: a two-sided qpoch or theta factor as one paired ratio call
+    with its own nterms, any other as its sides."""
+    if f.num is not None and f.den is not None and f.kind in ("qpoch", "theta"):
+        ratio = qpoch_ratio if f.kind == "qpoch" else theta_ratio
+        return ratio(_ref_arg(f.num, f, ts), _ref_arg(f.den, f, ts), p)
+    if f.den is None:
+        return _ref_side(f, f.num, ts, p)
+    v = 1 / _ref_side(f, f.den, ts, p)
+    return v if f.num is None else v * _ref_side(f, f.num, ts, p)
+
+
+def _per_factor(F, t):
+    """Reference evaluator of a declared integrand: every factor on its own,
+    the factors of one coordinate set multiplied, then the term."""
+    ts, single = as_batch(t)
+    acc = 0
+    for term in F.terms:
+        out = np.full(ts.shape[:-1], F.const, dtype=np.complex128)
+        rows = {}
+        for f in term:
+            key = frozenset((f.a, f.b))
+            rows[key] = rows.get(key, 1) * _ref_value(f, ts, F.p)
+        for v in rows.values():
+            out = out * v
+        acc = acc + out
+    return complex(acc[0]) if single else acc
+
+
+def _assert_matches_per_factor(F, t, tol=1e-13):
+    got, want = F(t), _per_factor(F, t)
+    assert np.shape(got) == np.shape(want)
+    assert np.isfinite(want).all()
+    rel = np.max(np.abs(np.asarray(got) - want) / np.abs(want))
+    assert rel < tol, rel
+
+
+def _torus_points(ell, rng):
+    """A ProductGrid of 6 staggered nodes per axis near the unit torus, a
+    dense batch of 7 points with moduli in [0.8, 1.25], and 3 single points."""
+    grid = ProductGrid(
+        [0.95 * np.exp(2j * np.pi * (np.arange(6) + (a + 1) / (ell + 2)) / 6) for a in range(ell)]
+    )
+    batch = rng.uniform(0.8, 1.25, (7, ell)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (7, ell)))
+    return [grid, batch, *batch[:3]]
+
+
+def _declarations(P):
+    """Every declared integrand at P.ell: the phase, the 1/t phase, the subset
+    W and w, both Shapovalov forms, q-beta, ARL and (ell = 1) Askey-Roy."""
+    ell = P.ell
+    rng = np.random.default_rng(ell)
+    draw = lambda m: m * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    a, b, c, x, alpha, beta, p = (draw(m) for m in (0.35, 0.4, 1.2, 0.42, 0.3, 0.45, 0.2))
+    out = [phase_declaration(P, ell), integrate._phase_tilde(P), integrate.omega_elliptic(P)]
+    out += [integrate.omega_trig(P), integrate.qbeta_integrand(a, b, c, x, p, ell)]
+    out += [integrate.arl_integrand(a, b, c, alpha, beta, x, p, ell)]
+    out += [subset_form(kind, l, P) for l in combin.index_vectors(P.n, ell) for kind in ("theta", "linear")]
+    if ell == 1:
+        out.append(integrate.askey_roy_integrand(a, b, c, alpha, beta, p))
+    return out
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_compiled_declarations_match_per_factor_loop(ell):
+    """Each declaration, compiled into one paired-ratio block per coordinate
+    set, matches the per-factor loop on a product grid, a dense batch and
+    single points."""
+    P = sample_params(ell, 2, ell)
+    points = _torus_points(ell, np.random.default_rng(10 + ell))
+    for F in _declarations(P):
+        for t in points:
+            _assert_matches_per_factor(F, t)
+
+
+def test_compiled_one_sided_factors_match_per_factor_loop():
+    """One-sided qpoch and theta ends of one term and coordinate set share
+    ratio rows, a leftover end is set against 0, and a one-sided theta's
+    (p;p)_inf goes into the term's constant; two terms, linear and monomial
+    factors and both pair orientations included."""
+    p = 0.15 * np.exp(0.4j)
+    terms = [
+        [
+            Factor("theta", 0.8, a=0),
+            Factor("qpoch", den=0.4, a=0),
+            Factor("qpoch", den=0.3, b=0),
+            Factor("theta", den=1.5, a=1),
+            Factor("qpoch", 0.5, b=1),
+            Factor("monomial", den=1, a=1),
+            Factor("qpoch", 0.2, a=0, b=1),
+            Factor("theta", den=2.5, a=1, b=0),
+            Factor("linear", 0.4, a=0),
+        ],
+        [
+            Factor("qpoch", 0.6, a=1),
+            Factor("theta", 0.7, 2.0, a=0),
+            Factor("qpoch", den=0.45, a=0, b=1),
+            Factor("linear", den=2.0, b=1),
+        ],
+    ]
+    F = Integrand(p, terms, const=0.7 - 0.2j)
+    for t in _torus_points(2, np.random.default_rng(5)):
+        _assert_matches_per_factor(F, t)
+
+
+def test_compiled_integrand_far_shells():
+    """Far-shell points, |t_0 / t_1| = 1e80: two-sided factors match the
+    per-factor loop, and the same factors written as one-sided ends paired
+    by the compiler give the same values, where single products overflow."""
+    p = 0.01 * np.exp(0.7j)
+    c = 1.1 * np.exp(0.3j)
+    two = [
+        Factor("qpoch", 2.0, 1.5j, a=0),
+        Factor("theta", 0.7, c, a=0, b=1),
+        Factor("qpoch", 0.3, 0.8, b=1),
+        Factor("theta", 1.7, 0.6, a=1, b=0),
+        Factor("qpoch", 0.9, 0.4j, a=0, b=1),
+    ]
+    one = [g for f in two for g in (f._replace(den=None), f._replace(num=None))]
+    rng = np.random.default_rng(8)
+    for scale in (1e20, 1e40):
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi, (5, 2)))
+        t = phase * np.array([scale, 1 / scale])
+        grid = ProductGrid([scale * phase[:, 0], phase[:, 1] / scale])
+        for pts in (t, t[0], grid):
+            _assert_matches_per_factor(Integrand(p, [two]), pts)
+            got, want = Integrand(p, [one])(pts), Integrand(p, [two])(pts)
+            assert np.max(np.abs(np.asarray(got) - want) / np.abs(want)) < 1e-13
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(qpoch(2.0 * 1e40, p))

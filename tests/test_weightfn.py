@@ -361,8 +361,8 @@ def test_W_tau_identity_reversed_display_and_involution():
     assert abs(back - ref) / abs(ref) < 1e-12
 
 
-def _grid_kernel_calls(monkeypatch, f, t, M):
-    """Kernel calls of f(t) on more points than one axis row of M nodes."""
+def _kernel_call_sizes(monkeypatch, f, t):
+    """Output sizes of the kernel calls f(t) makes, in call order."""
     calls = []
     for name in ("qpoch_array", "theta_array", "qpoch_ratio_array"):
         kernel = getattr(nk, name)
@@ -375,28 +375,38 @@ def _grid_kernel_calls(monkeypatch, f, t, M):
         monkeypatch.setattr(nk, name, counted)
     f(t)
     monkeypatch.undo()
-    return sum(size > M for size in calls)
+    return calls
+
+
+def _grid_kernel_calls(monkeypatch, f, t, M):
+    """Kernel calls of f(t) on more points than one axis row of M nodes."""
+    return sum(size > M for size in _kernel_call_sizes(monkeypatch, f, t))
 
 
 def test_subset_W_grid_kernel_calls(monkeypatch):
-    # bound: the front computed once plus each assignment's pairs, one theta
-    # ratio (two qpoch ratios) per front pair a < b and per pair with
-    # assign[a] < assign[b]; with the front in every assignment term, a front
-    # pair and the same assignment pair cancel, e.g. l = (1, 1): the (0, 1)
-    # assignment keeps no pair factor
+    # one paired-ratio call per coordinate set with a theta factor in any
+    # assignment term, of two rows per factor ((u; p) and (p/u; p) ends),
+    # on M points per axis and M^2 per pair: no one-coordinate factor
+    # reaches the pair grid.  With the front in every assignment term, a
+    # front pair and the same assignment pair cancel, e.g. l = (1, 1): the
+    # (0, 1) assignment keeps no pair factor
     M = 8
     for n, ell in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
         Pn = params(n, ell, seed=n + ell)
         t = ProductGrid([np.exp(2j * np.pi * (np.arange(M) + (a + 1) / (ell + 2)) / M) for a in range(ell)])
         for l in combin.index_vectors(n, ell):
-            pairs = sum(
-                assign[a] < assign[b] for assign in combin.gamma_partitions(l) for a in range(ell) for b in range(ell)
-            )
-            bound = 2 * (ell * (ell - 1) // 2 + pairs)
-            got = _grid_kernel_calls(monkeypatch, lambda tt: wf.W_ell(l, tt, Pn, "subset"), t, M)
-            assert got <= bound, (l, got, bound)
+            rows = {}
+            for term in wf.subset_form("theta", l, Pn).terms:
+                for f in term:
+                    key = frozenset(k for k in (f.a, f.b) if k is not None)
+                    rows[key] = rows.get(key, 0) + 2
+            want = sorted(r * M ** len(key) for key, r in rows.items())
+            got = _kernel_call_sizes(monkeypatch, lambda tt: wf.W_ell(l, tt, Pn, "subset"), t)
+            assert sorted(got) == want, (l, got, want)
             if l == (1, 1):
-                assert (bound, got) == (6, 4)
+                # each axis: 3 theta factors over both terms, 6 rows; the
+                # pair: the (1, 0) term's front and assignment factors, 4 rows
+                assert want == [6 * M, 6 * M, 4 * M**2]
 
 
 def test_symmetrized_W_grid_kernel_calls(monkeypatch):
