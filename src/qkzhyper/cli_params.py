@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import SamplingError
+from .errors import DomainError, SamplingError
 from .numkernel import ParameterSet, _dist_to_p_powers
 
 BAND = 0.75  # pole moduli must stay outside [BAND, 1/BAND] around the torus
@@ -122,7 +122,7 @@ def sample_params(seed, n, ell, regime="convergent"):
         kappa = kmod * np.exp(1j * rng.uniform(0, 2 * np.pi))
         try:
             prm = ParameterSet(p=p, eta=eta, kappa=kappa, xi=xi, z=z, n=n, ell=ell)
-        except Exception:
+        except DomainError:
             continue
         marg = prm.margins()
         if min(marg.values()) < MARGIN:

@@ -10,7 +10,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .grid import as_points
+from .grid import as_batch, as_points
 from .numkernel import theta_ratio
 
 
@@ -85,42 +85,43 @@ def permute_index(l, tau):
     return tuple(l[i] for i in tau)
 
 
-def sym_act_trig(f, sigma, eta):
-    """Action [f]_sigma(t) = f(t_sigma) prod_{a<b, sigma_a>sigma_b}
-    (t_sigma_b - eta t_sigma_a) / (eta t_sigma_b - t_sigma_a)."""
+def sym_act(f, sigma, eta, p=None):
+    """Action [f]_sigma(t) = f(t_sigma) prod_{a<b, sigma_a>sigma_b} of a twist
+    in (t_sigma_a, t_sigma_b): without a nome the rational
+    (t_sigma_b - eta t_sigma_a) / (eta t_sigma_b - t_sigma_a), with nome p the
+    elliptic eta theta(eta^-1 t_sigma_b / t_sigma_a) / theta(eta t_sigma_b / t_sigma_a)."""
     sigma = tuple(sigma)
 
     def g(t):
         t = as_points(t)
         out = np.asarray(f(t[..., list(sigma)]), dtype=np.complex128)
-        ell = len(sigma)
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                if sigma[a] > sigma[b]:
-                    ta, tb = t[..., sigma[a]], t[..., sigma[b]]
+        for a, b in itertools.combinations(range(len(sigma)), 2):
+            if sigma[a] > sigma[b]:
+                ta, tb = t[..., sigma[a]], t[..., sigma[b]]
+                if p is None:
                     out = out * ((tb - eta * ta) / (eta * tb - ta))
-        return out
-
-    return g
-
-
-def sym_act_ell(f, sigma, eta, p):
-    """Elliptic action [[f]]_sigma with factor
-    eta theta(eta^-1 t_sigma_b / t_sigma_a) / theta(eta t_sigma_b / t_sigma_a)."""
-    sigma = tuple(sigma)
-
-    def g(t):
-        t = as_points(t)
-        out = np.asarray(f(t[..., list(sigma)]), dtype=np.complex128)
-        ell = len(sigma)
-        for a in range(ell):
-            for b in range(a + 1, ell):
-                if sigma[a] > sigma[b]:
-                    r = t[..., sigma[b]] / t[..., sigma[a]]
+                else:
+                    r = tb / ta
                     out = out * (eta * theta_ratio(r / eta, eta * r, p))
         return out
 
     return g
+
+
+def symmetrize(core, ell, eta, p=None):
+    """The field sum over sigma in S_ell of [core]_sigma (sym_act, rational
+    without a nome, elliptic with nome p): a single point gives a number, a
+    batch or a ProductGrid its array."""
+    acts = [sym_act(core, sigma, eta, p) for sigma in all_perms(ell)]
+
+    def f(t):
+        ts, single = as_batch(t)
+        acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
+        for g in acts:
+            acc += g(ts)
+        return complex(acc[0]) if single else acc
+
+    return f
 
 
 def d_count(n, m, ell, s):

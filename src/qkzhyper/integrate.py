@@ -49,18 +49,13 @@ def torus_integral(f, ell, spec=QuadratureSpec(), measure="dt_over_t"):
         return complex(f(np.zeros((1, 0), dtype=np.complex128))[0])
     M = spec.points_per_circle
     total = 0.0 + 0j
-    for t in _grid_chunks((0.0,) * ell, (1.0,) * ell, M):
+    for _, t in _grid_slabs((0.0,) * ell, (1.0,) * ell, M):
         vals = np.asarray(f(t), dtype=np.complex128)
         if measure == "dt":
             for a in range(ell):
                 vals = vals * t[..., a]
         total += np.broadcast_to(vals, t.shape[:-1]).sum()
     return TWO_PI_I**ell * total / M**ell
-
-
-def _grid_chunks(centers, radii, M):
-    """The ProductGrid chunks of _grid_slabs, in row-major node order."""
-    return (t for _, t in _grid_slabs(centers, radii, M))
 
 
 def _grid_slabs(centers, radii, M):
@@ -128,7 +123,7 @@ def hyper_I_many(Ws, ws, params, spec=QuadratureSpec()):
     validate_torus(params, radius)
     M = spec.points_per_circle
     out = np.zeros((len(Ws), len(ws)), dtype=np.complex128)
-    for t in _grid_chunks((0.0,) * ell, (radius,) * ell, M):
+    for _, t in _grid_slabs((0.0,) * ell, (radius,) * ell, M):
         phi = phase_phi(t, params)
         Wv = [np.asarray(W(t), dtype=np.complex128) for W in Ws]
         wv = [np.asarray(w(t), dtype=np.complex128) for w in ws]
@@ -618,37 +613,30 @@ _ASCJ_GENERAL_CUTOFF = 40
 _QSELBERG_CUTOFF = 80
 
 
-def _column_product(*blocks):
-    """Row-wise product of the columns of each (T, c) block in turn, from 1:
-    the multiplication order of a per-term loop over the same factors."""
-    out = np.ones(len(blocks[0]), dtype=np.complex128)
-    for block in blocks:
-        for col in block.T:
-            out *= col
-    return out
+def _lattice_pairs(x, p, ell):
+    """(1 - r) (pr/x)_inf / (xr)_inf at r = u_k / u_j for the pairs j < k, as factors."""
+    pairs = itertools.combinations(range(ell), 2)
+    return [f for j, k in pairs for f in (Factor("linear", 1, a=k, b=j), Factor("qpoch", p / x, x, a=k, b=j))]
 
 
-def _pair_ratios(us):
-    """u_k / u_j for the pairs j < k of each row of a (T, ell) array, one
-    column per pair in the order of the double loop over j, then k."""
-    j, k = np.triu_indices(us.shape[1], 1)
-    return us[:, k] / us[:, j]
+def askey_weight(a, b, alpha, beta, p, ell):
+    """prod_k u_k (p u_k/a)_inf (p u_k/b)_inf / ((alpha u_k)_inf (beta u_k)_inf)
+    on (T, ell) arrays of lattice points u, declared: the ascj_sum singles."""
+    term = []
+    for k in range(ell):
+        term += [Factor("monomial", 1, a=k), Factor("qpoch", p / a, alpha, a=k), Factor("qpoch", p / b, beta, a=k)]
+    return Integrand(p, [term])
 
 
-def _askey_singles(us, a, b, alpha, beta, p):
-    """u (pu/a)_inf (pu/b)_inf / ((alpha u)_inf (beta u)_inf) at every entry
-    of a (T, ell) array of lattice points, one kernel call per factor."""
-    qp = lambda u: qpoch(u, p)
-    return us * qp(p * us / a) * qp(p * us / b) / (qp(alpha * us) * qp(beta * us))
+def askey_general_weight(a, b, alpha, beta, x, p, ell):
+    """The askey_weight singles times the pairs of _lattice_pairs, declared."""
+    (singles,) = askey_weight(a, b, alpha, beta, p, ell).terms
+    return Integrand(p, [singles + _lattice_pairs(x, p, ell)])
 
 
-def _x_pairs(us, x, p):
-    """(1 - r) (pr/x)_inf / (xr)_inf at r = u_k / u_j for the pairs j < k,
-    one kernel call per factor; (T, 0) when ell = 1."""
-    r = _pair_ratios(us)
-    if not r.size:
-        return r
-    return (1 - r) * qpoch(p * r / x, p) / qpoch(x * r, p)
+def qselberg_weight(alpha, x, p, ell):
+    """prod_k (p t_k)_inf / (alpha t_k)_inf times the pairs of _lattice_pairs, declared."""
+    return Integrand(p, [[Factor("qpoch", p, alpha, a=k) for k in range(ell)] + _lattice_pairs(x, p, ell)])
 
 
 def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40):
@@ -662,12 +650,14 @@ def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40):
         raise ValueError("m >= 1 (m = 0 degenerates the pair weight)")
     qp = lambda u: qpoch(u, p)
     x = p**m
+    singles = askey_weight(a, b, alpha, beta, p, ell)
 
     def v(s):
         return p**s * b if s >= 0 else p ** (-s - 1) * a
 
     def pair_factors(us):
-        r = _pair_ratios(us)
+        j, k = np.triu_indices(ell, 1)
+        r = us[:, k] / us[:, j]
         deltas = [_p_lattice_exponent(rv, p) for rv in r.ravel().tolist()]
         lattice = np.array([d is not None for d in deltas], dtype=bool).reshape(r.shape)
         out = np.empty_like(r)
@@ -681,7 +671,7 @@ def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40):
         rows = list(_signed_shell(ell, shell))
         us = np.array([[v(r) for r in rs] for rs in rows], dtype=np.complex128)
         term = np.array([(-1.0) ** sum(r < 0 for r in rs) for rs in rows])
-        term = term * _column_product(_askey_singles(us, a, b, alpha, beta, p), pair_factors(us))
+        term = term * singles(us) * pair_factors(us).prod(axis=1)
         for k in range(ell):
             term *= us[:, k] ** (2 * m * (ell - 1 - k))
         yield from term.tolist()
@@ -723,6 +713,7 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell):
     Each shell is evaluated as one array of lattice points, all j at once."""
     qp = lambda u: qpoch(u, p)
     th = lambda u: theta(u, p)
+    weight = askey_general_weight(a, b, alpha, beta, x, p, ell)
     # theta(x^(j+s) a/b) / theta(x^(j-s) a/b) for s < ell - j: depends on j only
     prefactors = [
         [th(x ** (j + s) * a / b) / th(x ** (j - s) * a / b) for s in range(ell - j)] for j in range(ell + 1)
@@ -749,9 +740,7 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell):
                     scale *= f
                 rows.append(us)
                 scales.append(scale)
-        us = np.array(rows, dtype=np.complex128)
-        weight = _column_product(_askey_singles(us, a, b, alpha, beta, p), _x_pairs(us, x, p))
-        yield from (np.array(scales, dtype=np.complex128) * weight).tolist()
+        yield from (np.array(scales, dtype=np.complex128) * weight(np.array(rows, dtype=np.complex128))).tolist()
 
     total, report = _shell_sum(shell_terms, _ASCJ_GENERAL_CUTOFF, _LATTICE_TOL)
     rhs = 1.0 + 0j
@@ -774,6 +763,7 @@ def qselberg_jackson(alpha, u, x, p, ell):
     if abs(u) >= min(1.0, abs(x) ** (ell - 1)):
         raise ConvergenceError("need |u| < min(1, |x|^(ell-1))")
     qp = lambda v: qpoch(v, p)
+    weight = qselberg_weight(alpha, x, p, ell)
 
     def shell_terms(shell):
         rows, scales = [], []
@@ -787,9 +777,7 @@ def qselberg_jackson(alpha, u, x, p, ell):
             expo_x = -sum((i - 1) * (ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
             rows.append(ts)
             scales.append(u**expo_u * x**expo_x)
-        ts = np.array(rows, dtype=np.complex128)
-        weight = _column_product(qp(p * ts) / qp(alpha * ts), _x_pairs(ts, x, p))
-        yield from (np.array(scales, dtype=np.complex128) * weight).tolist()
+        yield from (np.array(scales, dtype=np.complex128) * weight(np.array(rows, dtype=np.complex128))).tolist()
 
     total, report = _shell_sum(shell_terms, _QSELBERG_CUTOFF, _LATTICE_TOL)
     rhs = 1.0 + 0j

@@ -164,10 +164,10 @@ def suite_weights(seed=2, cfg=None):
     # S_ell invariance
     l = (1, 1)
     f = lambda tt: weightfn.w_trig(l, tt, P)
-    g = combin.sym_act_trig(f, (1, 0), P.eta)
+    g = combin.sym_act(f, (1, 0), P.eta)
     out.append(_res("w-invariance", abs(g(t[0]) - f(t[0])) / abs(f(t[0])), 1e-11))
     F = lambda tt: weightfn.W_ell(l, tt, P)
-    G = combin.sym_act_ell(F, (1, 0), P.eta, P.p)
+    G = combin.sym_act(F, (1, 0), P.eta, P.p)
     out.append(_res("W-invariance", abs(G(t[0]) - F(t[0])) / abs(F(t[0])), 1e-11))
     # c N identity
     pp = qpoch(P.p, P.p)
@@ -549,7 +549,7 @@ def shapovalov_checks(P):
         "ell",
         lambda l, t: weightfn.W_tau(l, t, P, tau, "subset"),
         lambda m, t: weightfn.W_tau(m, t, Pinv, om, "subset"),
-        [weightfn.norm_constants(l, P, tau).N_l for l in IV],
+        [weightfn.N_coeff(l, P) for l in IV],
     )
     out += diagonal(
         "trig",

@@ -17,7 +17,6 @@ grid.as_batch or grid.as_points; only discrete_shift densifies a grid.
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,10 +86,6 @@ def _w_core(assign, ts, params):
 
 def w_trig(l, t, params, form="symmetrized"):
     """Trigonometric weight function w_l(t, z)."""
-    ell = sum(l)
-    ts, single = as_batch(t)
-    if ell == 0:
-        return _unbatch(np.ones(ts.shape[:-1], dtype=np.complex128), single)
     eta = params.eta
     if form == "symmetrized":
         pref = 1.0 + 0j
@@ -98,11 +93,8 @@ def w_trig(l, t, params, form="symmetrized"):
             for s in range(1, lk + 1):
                 pref *= (1 - eta) / (1 - eta**s)
         base = combin.canonical_blocks(l)
-        f = lambda tt: _w_core(base, tt, params)
-        acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
-        for sigma in combin.all_perms(ell):
-            acc += combin.sym_act_trig(f, sigma, eta)(ts)
-        return _unbatch(pref * acc, single)
+        ts, single = as_batch(t)
+        return _unbatch(pref * combin.symmetrize(lambda tt: _w_core(base, tt, params), sum(l), eta)(ts), single)
     if form == "subset":
         return subset_form("linear", tuple(l), params)(t)
     raise ValueError(f"unknown form {form!r}")
@@ -136,10 +128,6 @@ def _W_core_sym(l, ts, params):
 
 def W_ell(l, t, params, form="symmetrized"):
     """Elliptic weight function W_l(t, z)."""
-    ell = sum(l)
-    ts, single = as_batch(t)
-    if ell == 0:
-        return _unbatch(np.ones(ts.shape[:-1], dtype=np.complex128), single)
     p, eta = params.p, params.eta
     if form == "symmetrized":
         pref = 1.0 + 0j
@@ -147,11 +135,8 @@ def W_ell(l, t, params, form="symmetrized"):
         for lk in l:
             for s in range(1, lk + 1):
                 pref *= th_eta / theta(eta**s, p)
-        f = lambda tt: _W_core_sym(l, tt, params)
-        acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
-        for sigma in combin.all_perms(ell):
-            acc += combin.sym_act_ell(f, sigma, eta, p)(ts)
-        return _unbatch(pref * acc, single)
+        ts, single = as_batch(t)
+        return _unbatch(pref * combin.symmetrize(lambda tt: _W_core_sym(l, tt, params), sum(l), eta, p)(ts), single)
     if form == "subset":
         return subset_form("theta", tuple(l), params)(t)
     raise ValueError(f"unknown form {form!r}")
@@ -218,15 +203,6 @@ def special_point(l, params, kind="x", shift=None):
 
 # ---------------------------------------------------------------------------
 # normalization constants
-
-
-@dataclass(frozen=True)
-class NormConstants:
-    b_l: complex
-    c_l: complex
-    N_l: complex
-    Xi_l: complex
-    alpha: tuple
 
 
 def b_coeff(l, params):
@@ -350,21 +326,6 @@ def alpha_multipliers(l, params, tau=None):
                 a *= eta ** (l[lo] * l[m]) * xi[lo] ** (-l[m]) * xi[m] ** (-l[lo])
         out.append(a)
     return tuple(out)
-
-
-def norm_constants(l, params, tau=None):
-    """All five constants attached to an index vector (for the tau-basis)."""
-    n = params.n
-    tau = tuple(tau) if tau is not None else tuple(range(n))
-    pt = params.permuted(tau)
-    lt = combin.permute_index(l, tau)
-    return NormConstants(
-        b_l=b_coeff(l, params),
-        c_l=c_coeff(lt, pt),
-        N_l=N_coeff(lt, pt),
-        Xi_l=xi_asym_coeff(l, params, tau),
-        alpha=alpha_multipliers(l, params, tau),
-    )
 
 
 def adjusting_factor(l, params, tau=None):
@@ -562,7 +523,6 @@ def star_product(f, g, jvars, lvars, split_k, params, flavor="trig"):
     factor couples those parameters to g's variables.  Rational bridge for
     flavor="trig", theta bridge for flavor="elliptic".
     """
-    ell = jvars + lvars
     eta, p = params.eta, params.p
     xi, z = params.xi, params.z
 
@@ -579,18 +539,11 @@ def star_product(f, g, jvars, lvars, split_k, params, flavor="trig"):
                     out = out * theta_ratio(xi[i] * ta / z[i], ta / (xi[i] * z[i]), p)
         return out
 
-    act = combin.sym_act_trig if flavor == "trig" else combin.sym_act_ell
+    sym = combin.symmetrize(core, jvars + lvars, eta, None if flavor == "trig" else p)
 
     def h(t):
         ts, single = as_batch(t)
-        acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
-        for sigma in combin.all_perms(ell):
-            if flavor == "trig":
-                acc += act(core, sigma, eta)(ts)
-            else:
-                acc += act(core, sigma, eta, p)(ts)
-        acc /= math.factorial(jvars) * math.factorial(lvars)
-        return _unbatch(acc, single)
+        return _unbatch(sym(ts) / (math.factorial(jvars) * math.factorial(lvars)), single)
 
     return h
 
@@ -725,8 +678,7 @@ def boundary_element(flavor, W_lower, params):
     flavor="Qprime": sum_sigma [[ W(t_1..t_(ell-1)) t_ell^-1
                      prod_m theta(xi_m t_ell/z_m)/theta(xi_m^-1 t_ell/z_m) ]]_sigma
     """
-    ell = params.ell
-    p, eta = params.p, params.eta
+    ell, p = params.ell, params.p
 
     if flavor == "Q":
 
@@ -747,11 +699,4 @@ def boundary_element(flavor, W_lower, params):
     else:
         raise ValueError("flavor must be 'Q' or 'Qprime'")
 
-    def f(t):
-        ts, single = as_batch(t)
-        acc = np.zeros(ts.shape[:-1], dtype=np.complex128)
-        for sigma in combin.all_perms(ell):
-            acc += combin.sym_act_ell(core, sigma, eta, p)(ts)
-        return _unbatch(acc, single)
-
-    return f
+    return combin.symmetrize(core, ell, params.eta, p)

@@ -58,7 +58,7 @@ def test_grid_chunks_match_flat_grid(centers, radii, M):
     ell = len(radii)
     want = flat_grid(centers, radii, M)
     start = 0
-    for t in ig._grid_chunks(centers, radii, M):
+    for _, t in ig._grid_slabs(centers, radii, M):
         assert isinstance(t, ProductGrid)
         assert t.shape[1:-1] == (M,) * (ell - 1)  # a slab along axis 0
         assert t.shape[:-1] == np.broadcast_shapes(*(t[..., a].shape for a in range(ell)))
@@ -77,7 +77,7 @@ def test_grid_chunks_fix_leading_axes(monkeypatch):
     monkeypatch.setattr(ig, "_CHUNK", 20)
     centers, radii, M = (0.0, 0.5, 1j), (1.0, 0.3, 0.2), 6
     want = flat_grid(centers, radii, M)
-    chunks = list(ig._grid_chunks(centers, radii, M))
+    chunks = [t for _, t in ig._grid_slabs(centers, radii, M)]
     assert all(t.shape[0] == 1 and t.shape[2] == M and t.size // 3 <= 20 for t in chunks)
     got = np.concatenate([np.asarray(t).reshape(-1, 3) for t in chunks])
     np.testing.assert_array_equal(got, want)
@@ -110,7 +110,7 @@ def _integrands(P):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_integrands_on_product_grid_match_dense(ell):
     P = sample_params(40 + ell, 2, ell)
-    t = next(ig._grid_chunks((0.0,) * ell, (1.0,) * ell, 6))
+    _, t = next(ig._grid_slabs((0.0,) * ell, (1.0,) * ell, 6))
     dense = np.asarray(t)
     for name, f in _integrands(P).items():
         got = np.broadcast_to(f(t), t.shape[:-1])

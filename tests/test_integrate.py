@@ -524,6 +524,29 @@ def test_lattice_sums_match_scalar_reference(ell):
     assert abs(got - want) < 1e-12 * abs(want)
 
 
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_declared_lattice_weights_match_per_factor_formula(ell):
+    rng = np.random.default_rng(70 + ell)
+    a, b, al, be, x, alpha = (draw(mod, rng) for mod in (0.3, 0.35, 0.28, 0.31, 0.45, 0.4))
+    p = draw(0.25, rng)
+    us = np.exp(rng.uniform(np.log(0.01), np.log(3.0), (40, ell)) + 1j * rng.uniform(0, 2 * np.pi, (40, ell)))
+    qp = lambda u: qpoch(u, p)
+    singles = lambda row: np.prod([u * qp(p * u / a) * qp(p * u / b) / (qp(al * u) * qp(be * u)) for u in row])
+    cases = (
+        (ig.askey_weight(a, b, al, be, p, ell), singles),
+        (ig.askey_general_weight(a, b, al, be, x, p, ell), lambda row: singles(row) * _x_pair_loop(row, x, p)),
+        (
+            ig.qselberg_weight(alpha, x, p, ell),
+            lambda row: np.prod([qp(p * t) / qp(alpha * t) for t in row]) * _x_pair_loop(row, x, p),
+        ),
+    )
+    for weight, formula in cases:
+        want = np.array([formula(row) for row in us])
+        got = weight(us)
+        assert got.shape == (len(us),)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
 def test_lattice_sums_l3_product_formulas():
     rng = np.random.default_rng(5)
     a, b, al, be, x, alpha, u = (draw(mod, rng) for mod in (0.3, 0.35, 0.28, 0.31, 0.45, 0.4, 0.1))
@@ -556,7 +579,7 @@ def test_shapovalov_diagonality():
             f1 = lambda t: wf.W_tau(l, t, P, tau, "subset")
             f2 = lambda t: wf.W_tau(mv, t, Pinv, om, "subset")
             S[i, j] = ig.shapovalov("elliptic", f1, f2, P)
-    Ns = [wf.norm_constants(l, P, tau).N_l for l in IV]
+    Ns = [wf.N_coeff(l, P) for l in IV]
     for i in range(2):
         assert abs(S[i, i] - Ns[i]) / abs(Ns[i]) < 1e-9
     assert max(abs(S[0, 1]), abs(S[1, 0])) < 1e-9 * min(abs(v) for v in Ns)

@@ -125,8 +125,8 @@ def test_sl_invariance():
         f = lambda tt: wf.w_trig(l, tt, P)
         F = lambda tt: wf.W_ell(l, tt, P)
         for sigma in ((1, 0),):
-            g = combin.sym_act_trig(f, sigma, P.eta)
-            G = combin.sym_act_ell(F, sigma, P.eta, P.p)
+            g = combin.sym_act(f, sigma, P.eta)
+            G = combin.sym_act(F, sigma, P.eta, P.p)
             t = T2[3]
             assert abs(g(t) - f(t)) / abs(f(t)) < 1e-11
             assert abs(G(t) - F(t)) / abs(F(t)) < 1e-11
@@ -311,7 +311,7 @@ def test_coboundary_exact_form_identity():
         rhs = 0.0
         for a in range(2):
             sigma = (0, 1) if a == 0 else (1, 0)
-            g = lambda tt, zz, s=sigma: combin.sym_act_trig(
+            g = lambda tt, zz, s=sigma: combin.sym_act(
                 lambda q: wf.w_trig(lm, np.asarray(q)[..., 1:], Pk.with_z(zz), "subset"), s, Pk.eta
             )(tt)
             rhs += wf.discrete_shift(g, a, Pk, "D")(t, Pk.z)
