@@ -7,11 +7,30 @@ broadcast against the other axes: a factor of one coordinate is evaluated on
 that axis's M nodes, and only factors of two coordinates (t_a / t_b) reach
 the full grid, by broadcasting.  `as_points` and `as_batch` are how every
 field of the package reads its points.
+
+On a staggered torus grid (every centre 0, one radius: t_a = r E_a[j_a]
+with E_a[j] = exp(2 pi i (j + delta_a) / M)) a pair ratio t_a / t_b takes
+only M values, exp(2 pi i (d + delta_a - delta_b) / M) at
+d = (j_a - j_b) mod M, so `ProductGrid.pair` can hand a pair factor those M
+values and the indices that gather them onto the grid.
 """
 
+import functools
 import math
 
 import numpy as np
+
+# Distinct (M, shift) rows kept by `unit_roots`: the node rows of every
+# (ell, M, axis) and the pair tables of every (ell, M, a - b).
+_UNIT_ROOTS_CACHE = 256
+
+
+@functools.lru_cache(maxsize=_UNIT_ROOTS_CACHE)
+def unit_roots(M, shift):
+    """Read-only row exp(2 pi i (j + shift) / M), j < M."""
+    e = np.exp(2j * math.pi * (np.arange(M) + shift) / M)
+    e.flags.writeable = False
+    return e
 
 
 class ProductGrid:
@@ -24,21 +43,30 @@ class ProductGrid:
     and `np.asarray(t)` materialises the dense array, so a callable that does
     not know the type still gets exact values.  Any other index is taken on
     the dense array.
+
+    `circulant = (M, nodes, shifts)` says that the axes are rows of one
+    staggered torus, axes[a] = r unit_roots(M, shifts[a])[nodes[a]], with
+    nodes[a] the global node indices the grid holds on axis a; `pair` then
+    returns M values and gather indices instead of a pair grid.
     """
 
-    __slots__ = ("_axes", "shape", "ndim", "size")
+    __slots__ = ("_axes", "_circulant", "shape", "ndim", "size")
 
-    def __init__(self, axes):
+    def __init__(self, axes, circulant=None):
         ell = len(axes)
         rows = []
         for a, x in enumerate(axes):
             x = np.array(x, dtype=np.complex128).reshape((1,) * a + (-1,) + (1,) * (ell - 1 - a))
             x.flags.writeable = False
             rows.append(x)
-        self._set(rows, tuple(x.size for x in rows))
+        if circulant is not None:
+            M, nodes, shifts = circulant
+            circulant = (M, [np.reshape(j, x.shape) for j, x in zip(nodes, rows)], list(shifts))
+        self._set(rows, tuple(x.size for x in rows), circulant)
 
-    def _set(self, rows, nodes):
+    def _set(self, rows, nodes, circulant):
         self._axes = tuple(rows)
+        self._circulant = circulant
         self.shape = nodes + (len(rows),)
         self.ndim = len(self.shape)
         self.size = math.prod(self.shape)
@@ -48,10 +76,24 @@ class ProductGrid:
             if isinstance(key[1], (int, np.integer)):
                 return self._axes[key[1]]
             if isinstance(key[1], (list, slice)):
+                sel = np.arange(len(self._axes))[key[1]]
+                circ = self._circulant
+                if circ is not None:  # the description follows the rows
+                    M, nodes, shifts = circ
+                    circ = (M, [nodes[a] for a in sel], [shifts[a] for a in sel])
                 sub = ProductGrid.__new__(ProductGrid)
-                sub._set([self._axes[a] for a in np.arange(len(self._axes))[key[1]]], self.shape[:-1])
+                sub._set([self._axes[a] for a in sel], self.shape[:-1], circ)
                 return sub
         return np.asarray(self)[key]
+
+    def pair(self, a, b):
+        """(x, idx): the ratio t_a / t_b is x[idx].  On a staggered torus x is
+        the table of its M values and idx the (j_a - j_b) mod M of each node,
+        shaped like the pair grid; otherwise x is the pair grid and idx None."""
+        if self._circulant is None:
+            return self._axes[a] / self._axes[b], None
+        M, nodes, shifts = self._circulant
+        return unit_roots(M, shifts[a] - shifts[b]), np.subtract(nodes[a], nodes[b]) % M
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:

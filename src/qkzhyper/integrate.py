@@ -18,7 +18,7 @@ import numpy as np
 
 from . import combin, weightfn
 from .errors import ConvergenceError, DegeneracyError, PoleProximityError
-from .grid import ProductGrid
+from .grid import ProductGrid, unit_roots
 from .numkernel import POLE_GUARD, Factor, Integrand, phase_declaration, phase_phi, pole_families, qpoch, theta
 
 TWO_PI_I = 2j * math.pi
@@ -50,11 +50,13 @@ def torus_integral(f, ell, spec=QuadratureSpec(), measure="dt_over_t"):
     M = spec.points_per_circle
     total = 0.0 + 0j
     for _, t in _grid_slabs((0.0,) * ell, (1.0,) * ell, M):
-        vals = np.asarray(f(t), dtype=np.complex128)
+        vals = np.broadcast_to(np.asarray(f(t), dtype=np.complex128), t.shape[:-1])
         if measure == "dt":
-            for a in range(ell):
-                vals = vals * t[..., a]
-        total += np.broadcast_to(vals, t.shape[:-1]).sum()
+            # one new array: the first axis's product, then the others in place
+            vals = vals * t[..., 0]
+            for a in range(1, ell):
+                vals *= t[..., a]
+        total += vals.sum()
     return TWO_PI_I**ell * total / M**ell
 
 
@@ -70,13 +72,14 @@ def _grid_slabs(centers, radii, M):
 
     The per-axis phase stagger keeps node ratios off the p/eta lattice and the
     diagonals t_a = t_b; an offset uniform grid integrates circles exactly.
+    When every centre is 0 and every radius equal, the chunks carry their
+    circulant description, so a pair ratio is M values and a gather.
     Integrands may return values of any shape that broadcasts to the grid, so
     callers sum np.broadcast_to(vals, t.shape[:-1])."""
     ell = len(radii)
-    nodes = [
-        c + r * np.exp(TWO_PI_I * (np.arange(M) + (a + 1.0) / (ell + 2.0)) / M)
-        for a, (c, r) in enumerate(zip(centers, radii))
-    ]
+    shifts = [(a + 1.0) / (ell + 2.0) for a in range(ell)]
+    nodes = [c + r * unit_roots(M, d) for c, r, d in zip(centers, radii, shifts)]
+    torus = all(c == 0 for c in centers) and len(set(radii)) == 1
     whole = ell - 1
     while M**whole > _CHUNK:
         whole -= 1
@@ -86,7 +89,8 @@ def _grid_slabs(centers, radii, M):
         head = [slice(j, j + 1) for j in fixed]
         for start in range(0, M, step):
             slices = head + [slice(start, min(start + step, M))] + [slice(0, M)] * whole
-            yield slices, ProductGrid([x[s] for x, s in zip(nodes, slices)])
+            circulant = (M, [np.arange(M)[s] for s in slices], shifts) if torus else None
+            yield slices, ProductGrid([x[s] for x, s in zip(nodes, slices)], circulant)
 
 
 def auto_radius(params):

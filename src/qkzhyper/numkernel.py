@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DegeneracyError, DomainError, PoleProximityError, ResonanceError
-from .grid import as_batch, as_points
+from .grid import ProductGrid, as_batch, as_points
 from .kernels import qpoch_array, qpoch_ratio_array, theta_array
 
 
@@ -218,7 +218,10 @@ class Integrand:
     call per block, so one `nterms` per block, from max|u| over its rows;
     then the rows of each term multiply within their block, with the term's
     linear and monomial factors on that set, and the term is formed by
-    `_term_value`."""
+    `_term_value`.  On a staggered torus grid a pair block is evaluated on
+    the M values of its ratio, and each term's product of its rows is
+    gathered onto the pair grid once; linear and monomial factors are always
+    evaluated on the points themselves."""
 
     def __init__(self, p, terms, const=1.0):
         self.p, self.const, self.terms = p, const, []
@@ -270,15 +273,23 @@ class Integrand:
                 self._blocks[key] = (c, flip, c[flip])
 
     def _rows(self, key, ts):
-        """The ratio rows of one block on the points ts: one kernel call."""
+        """(rows, idx): the ratio rows of one block on the points ts, from one
+        kernel call, and the indices that gather a row onto the grid (None
+        when the rows are on it).  A pair block on a staggered torus is
+        evaluated on the M values of its ratio (`ProductGrid.pair`)."""
         c, flip, c_flip = self._blocks[key]
-        x = ts[..., key[0]] if len(key) == 1 else ts[..., key[0]] / ts[..., key[1]]
+        if len(key) == 1:
+            x, idx = ts[..., key[0]], None
+        elif isinstance(ts, ProductGrid):
+            x, idx = ts.pair(*key)
+        else:
+            x, idx = ts[..., key[0]] / ts[..., key[1]], None
         u = np.multiply.outer(c, x)
         if flip.size:
             u[flip] = np.divide.outer(c_flip, x)
         del x  # a pair grid's x need not stay alive beside the 2R ends and R rows of the call
         R = len(c) // 2
-        return qpoch_ratio(u[:R], u[R:], self.p)
+        return qpoch_ratio(u[:R], u[R:], self.p), idx
 
     def __call__(self, t):
         ts, single = as_batch(t)
@@ -289,7 +300,12 @@ class Integrand:
         for const, spans in self._plan:
             parts = []
             for key, (s, e, other) in spans.items():
-                v = None if s == e else rows[key][s] if e - s == 1 else rows[key][s:e].prod(axis=0)
+                v = None
+                if s < e:
+                    r, idx = rows[key]
+                    v = r[s] if e - s == 1 else r[s:e].prod(axis=0)
+                    if idx is not None:
+                        v = np.take(v, idx)  # one gather per term and block, after the product
                 for f in other:
                     w = _value(f, ts)
                     v = w if v is None else np.multiply(v, w, out=v)

@@ -1,3 +1,6 @@
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -81,6 +84,63 @@ def test_grid_chunks_fix_leading_axes(monkeypatch):
     assert all(t.shape[0] == 1 and t.shape[2] == M and t.size // 3 <= 20 for t in chunks)
     got = np.concatenate([np.asarray(t).reshape(-1, 3) for t in chunks])
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("ell,M,radius,chunk", [(2, 16, 1.0, None), (2, 128, 0.8, None), (3, 96, 1.0, None), (3, 6, 1.3, 20)])
+def test_torus_pair_tables_match_dense_ratios(monkeypatch, ell, M, radius, chunk):
+    # on a staggered torus (every centre 0, one radius) t_a / t_b takes M
+    # values: pair(a, b) returns them, as exp(2 pi i (d + (a - b) / (ell + 2)) / M),
+    # and the indices that gather them onto the pair grid, in every slab, also
+    # when the leading axes are fixed one node at a time (_CHUNK = 20 at
+    # M = 6, ell = 3).  np.exp rounds such a row by up to 1.7e-15 at M = 96,
+    # and the dense ratio carries that rounding from both of its nodes.
+    if chunk is not None:
+        monkeypatch.setattr(ig, "_CHUNK", chunk)
+    exact = {
+        (a, b): np.array([complex(mpmath.expjpi(2 * (d + mpmath.mpf(a - b) / (ell + 2)) / M)) for d in range(M)])
+        for a, b in itertools.permutations(range(ell), 2)
+    }
+    slabs = 0
+    for _, t in ig._grid_slabs((0.0,) * ell, (radius,) * ell, M):
+        slabs += 1
+        for (a, b), want_x in exact.items():
+            x, idx = t.pair(a, b)
+            want = t[..., a] / t[..., b]
+            assert x.shape == (M,) and idx.shape == want.shape
+            assert np.max(np.abs(x - want_x)) < 2e-15
+            assert np.max(np.abs(x[idx] - want)) < 4e-15
+    if (M, chunk) in ((96, None), (6, 20)):
+        assert slabs > 1 and t.shape[0] < M  # the grid was split into slabs
+    if chunk is not None:
+        assert t.shape[:2] == (1, 3)  # axis 0 fixed, axis 1 cut
+
+
+@pytest.mark.parametrize(
+    "centers,radii",
+    [((0.3 + 0.1j, -1.0), (0.05, 0.2)), ((0.5, 0.5), (0.1, 0.1)), ((0.0,) * 3, (1.0, 0.9, 1.1))],
+)
+def test_residue_circle_pairs_stay_dense(centers, radii):
+    # a non-zero centre or unequal radii: the pair is the pair grid itself
+    _, t = next(ig._grid_slabs(centers, radii, 12))
+    for a, b in itertools.combinations(range(len(radii)), 2):
+        x, idx = t.pair(a, b)
+        assert idx is None
+        np.testing.assert_array_equal(x, t[..., a] / t[..., b])
+    x, idx = ProductGrid([np.exp(0.3j * np.arange(4)), np.exp(0.2j * np.arange(5))]).pair(0, 1)
+    assert idx is None and x.shape == (4, 5)
+
+
+def test_sub_grid_pairs_keep_the_torus_description():
+    # t[..., list] and t[..., slice] permute the description with the rows
+    _, t = next(ig._grid_slabs((0.0,) * 3, (1.0,) * 3, 8))
+    dense = np.asarray(t)
+    for sel in ([1, 0], [2, 0, 1], slice(1, None), slice(None, None, -1)):
+        sub, want = t[..., sel], dense[..., sel]
+        for a, b in itertools.permutations(range(sub.shape[-1]), 2):
+            x, idx = sub.pair(a, b)
+            assert idx is not None
+            got = np.broadcast_to(x[idx], sub.shape[:-1])
+            assert np.max(np.abs(got - want[..., a] / want[..., b])) < 4e-15, (sel, a, b)
 
 
 def _integrands(P):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkzhyper import combin, integrate, kernels
+from qkzhyper import combin, integrate, kernels, numkernel
 from qkzhyper.cli_params import sample_params
 from qkzhyper.errors import ConvergenceError, DomainError, PoleProximityError, ResonanceError
 from qkzhyper.grid import ProductGrid, as_batch
@@ -555,6 +555,56 @@ def test_compiled_declarations_match_per_factor_loop(ell):
     for F in _declarations(P):
         for t in points:
             _assert_matches_per_factor(F, t)
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_compiled_declarations_on_torus_slabs_match_per_factor_loop(ell, monkeypatch):
+    """On staggered torus slabs (pair blocks on the M values of their ratio,
+    gathered per term) each declaration matches the per-factor loop on the
+    dense pair grids, also when the leading axes are fixed one at a time."""
+    P = sample_params(ell, 2, ell)
+    monkeypatch.setattr(integrate, "_CHUNK", 20)
+    slabs = list(integrate._grid_slabs((0.0,) * ell, (0.95,) * ell, 6))
+    for F in _declarations(P):
+        for _, t in slabs[:2] + slabs[-1:]:
+            _assert_matches_per_factor(F, t)
+
+
+def _ratio_call_sizes(monkeypatch, f, t):
+    """Output sizes of the paired-ratio kernel calls f(t) makes, in call order."""
+    sizes, kernel = [], numkernel.qpoch_ratio_array
+
+    def counted(*args):
+        out = kernel(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(numkernel, "qpoch_ratio_array", counted)
+    f(t)
+    monkeypatch.undo()
+    return sizes
+
+
+def test_torus_pair_blocks_take_M_points(monkeypatch):
+    """On a 128^2 torus grid each block of the phase and of the subset W_ell
+    is one kernel call of rows x M points: the axis blocks on their axis
+    rows, the pair block on the M values of t_0 / t_1, not the M^2 nodes.
+    A two-sided qpoch factor is one row, a theta factor two."""
+    M = 128
+    (_, t), *rest = integrate._grid_slabs((0.0, 0.0), (1.0, 1.0), M)
+    assert not rest and t.shape == (M, M, 2)
+    for n in (2, 3):
+        Pn = sample_params(n, n, 2)
+        Fs = [phase_declaration(Pn, 2)] + [subset_form("theta", l, Pn) for l in combin.index_vectors(n, 2)]
+        for F in Fs:
+            rows = {}
+            for f in (f for term in F.terms for f in term):
+                key = frozenset(k for k in (f.a, f.b) if k is not None)
+                rows[key] = rows.get(key, 0) + (2 if f.kind == "theta" else 1)
+            got = _ratio_call_sizes(monkeypatch, F, t)
+            assert sorted(got) == sorted(r * M for r in rows.values()), (got, rows)
+        # the phase's pair row: eta t_0 / t_1 over eta^-1 t_0 / t_1
+        assert sorted(_ratio_call_sizes(monkeypatch, Fs[0], t)) == [M, n * M, n * M]
 
 
 def test_compiled_one_sided_factors_match_per_factor_loop():
