@@ -10,61 +10,47 @@ import math
 import numpy as np
 
 from .errors import DomainError, SamplingError
-from .numkernel import ParameterSet, _dist_to_p_powers
+from .numkernel import ParameterSet, _nearest_p_power
 
 BAND = 0.75  # pole moduli must stay outside [BAND, 1/BAND] around the torus
-BAND_SMAX = 60  # p-shells of a pole family checked against the band
 MARGIN = 0.05  # genericity margins of a draw
 KAPPA_MARGIN = 0.02  # distance of kappa from its special-value lattices
-KAPPA_SMAX = 40  # p-shells of those lattices
 ATTEMPTS = 1000  # draws tried before sampling gives up
 
 
 def _band_ok(value, p):
-    """All |p^s value|, s < BAND_SMAX, outside the modulus band around 1."""
-    v = abs(value)
-    ap = abs(p)
-    for _ in range(BAND_SMAX):
-        if BAND < v < 1.0 / BAND:
-            return False
-        v *= ap
-        if v < BAND * ap:
-            break
-    return True
+    """No |p^s value|, s >= 0, inside the modulus band around 1.  The band is
+    the interval of half-width (1/BAND - BAND) / 2 around its midpoint, so a
+    member lies in it exactly when the member nearest the midpoint does."""
+    s, _ = _nearest_p_power((BAND + 1.0 / BAND) / 2, abs(value), abs(p), 0)
+    return not BAND < abs(value) * abs(p) ** s < 1.0 / BAND
 
 
 def quadrature_band_ok(params):
-    p = params.p
-    for m in range(params.n):
-        if not _band_ok(params.xi[m] * params.z[m], p):
-            return False
-        if not _band_ok(params.z[m] / params.xi[m] / p, p):
-            return False
-    r = abs(params.eta)
-    return _band_ok(1.0 / r, p) and _band_ok(r * abs(p), p)
+    p, r = params.p, abs(params.eta)
+    values = [v for xi, z in zip(params.xi, params.z) for v in (xi * z, z / xi / p)]
+    return all(_band_ok(v, p) for v in values + [1.0 / r, r * abs(p)])
 
 
 def kappa_margins_ok(params):
     """Distance of kappa from the two special-value lattices and of the
-    Wbasis resonance products from p^s eta^r, at least KAPPA_MARGIN."""
-    p, eta = params.p, params.eta
-    ell = params.ell
-    delta = KAPPA_MARGIN
+    Wbasis resonance products from p^s eta^r, at least KAPPA_MARGIN.  The
+    special values are eta^-r prod(xi) p^s and eta^r prod(xi)^-1 p^-(s+1),
+    s >= 0; on each only the member nearest kappa can be that close."""
+    p, eta, kappa, ell, delta = params.p, params.eta, params.kappa, params.ell, KAPPA_MARGIN
     for r in range(max(ell, 1)):
         base_p = eta**-r * params.xi_prod
         base_m = eta**r / params.xi_prod
-        for s in range(KAPPA_SMAX):
-            if abs(params.kappa / (p**s * base_p) - 1) < delta:
-                return False
-            if abs(params.kappa * p ** (s + 1) / base_m - 1) < delta:
-                return False
+        s, _ = _nearest_p_power(kappa, base_p, p, 0)
+        t, _ = _nearest_p_power(1.0, kappa * p / base_m, p, 0)
+        if abs(kappa / (p**s * base_p) - 1) < delta or abs(kappa * p ** (t + 1) / base_m - 1) < delta:
+            return False
     for m in range(params.n - 1):
-        prod = params.kappa
+        prod = kappa
         for i in range(params.n):
             prod = prod * params.xi[i] if i <= m else prod / params.xi[i]
-        for r in range(1 - ell, ell):
-            if _dist_to_p_powers(prod * eta**-r, p) < delta:
-                return False
+        if any(_nearest_p_power(1.0, prod * eta**-r, p)[1] < delta for r in range(1 - ell, ell)):
+            return False
     return True
 
 

@@ -12,7 +12,9 @@ On a staggered torus grid (every centre 0, one radius: t_a = r E_a[j_a]
 with E_a[j] = exp(2 pi i (j + delta_a) / M)) a pair ratio t_a / t_b takes
 only M values, exp(2 pi i (d + delta_a - delta_b) / M) at
 d = (j_a - j_b) mod M, so `ProductGrid.pair` can hand a pair factor those M
-values and the indices that gather them onto the grid.
+values and the indices that gather them onto the grid.  The indices are
+j_a - j_b itself, in (-M, M): a negative index counts from the end of the
+table, which is the same value, so no modulo is taken.
 """
 
 import functools
@@ -88,12 +90,13 @@ class ProductGrid:
 
     def pair(self, a, b):
         """(x, idx): the ratio t_a / t_b is x[idx].  On a staggered torus x is
-        the table of its M values and idx the (j_a - j_b) mod M of each node,
-        shaped like the pair grid; otherwise x is the pair grid and idx None."""
+        the table of its M values and idx the j_a - j_b of each node (a
+        negative index wraps, as (j_a - j_b) mod M), shaped like the pair
+        grid; otherwise x is the pair grid and idx None."""
         if self._circulant is None:
             return self._axes[a] / self._axes[b], None
         M, nodes, shifts = self._circulant
-        return unit_roots(M, shifts[a] - shifts[b]), np.subtract(nodes[a], nodes[b]) % M
+        return unit_roots(M, shifts[a] - shifts[b]), np.subtract(nodes[a], nodes[b])
 
     def __array__(self, dtype=None, copy=None):
         if copy is False:

@@ -20,6 +20,7 @@ from . import combin, weightfn
 from .errors import ConvergenceError, DegeneracyError, PoleProximityError
 from .grid import ProductGrid, unit_roots
 from .numkernel import POLE_GUARD, Factor, Integrand, phase_declaration, phase_phi, pole_families, qpoch, theta
+from .numkernel import _nearest_p_power
 
 TWO_PI_I = 2j * math.pi
 _CHUNK = 1 << 17
@@ -104,12 +105,16 @@ def auto_radius(params):
 
 
 def validate_torus(params, radius):
-    """Refuse a radius within POLE_GUARD of a catalog pole; the staggered grid never meets t_a = t_b."""
-    fixed, pair = _pole_catalog(params)
-    if np.any(np.abs(np.abs(fixed) - radius) < POLE_GUARD * radius):
+    """Refuse a radius within POLE_GUARD of a pole family's moduli, and a pair family with
+    a member on modulus 1 other than 1 itself, which the staggered grid never meets."""
+    _, axis, pair = _pole_families(params)
+    ap = abs(params.p)
+    if any(_nearest_p_power(radius, abs(v), ap)[1] < POLE_GUARD * radius for v in axis):
         raise PoleProximityError("torus radius hits a pole family")
-    if np.any((np.abs(np.abs(pair) - 1.0) < POLE_GUARD) & (pair != 1.0)):
-        raise PoleProximityError("pair-pole family on the diagonal torus")
+    for v in pair:
+        s, d = _nearest_p_power(1.0, abs(v), ap)
+        if d < POLE_GUARD and v * params.p**s != 1.0:
+            raise PoleProximityError("pair-pole family on the diagonal torus")
 
 
 def hyper_I_many(Ws, ws, params, spec=QuadratureSpec()):
@@ -142,10 +147,7 @@ def hyper_I_many(Ws, ws, params, spec=QuadratureSpec()):
 # nested residues
 
 
-# Residue circles: the p-shells of the pole catalog (|s| < _SMAX) and of the
-# pair divisors (|s| <= _SMAX), and the circle radius as a fraction of the
-# distance to the nearest other singularity.
-_SMAX = 24
+# Residue circle radius as a fraction of the distance to the nearest other singularity.
 _SHRINK = 0.05
 # Relative error estimate at which a residue circle's node count is accepted
 # (see multi_residue).
@@ -153,19 +155,15 @@ _RESIDUE_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=32)
-def _pole_catalog(params):
-    """(fixed, pair): the origin and p-shells |s| < _SMAX of the point families, and the p-shells
-    |s| <= _SMAX of the pair multipliers, of the phase function with its 1/t, both Shapovalov forms
-    and every subset weight function at `params`.  Read-only: the cache hands them to every caller."""
-    p, ls = params.p, combin.index_vectors(params.n, params.ell)
+def _pole_families(params):
+    """pole_families of the phase function with its 1/t, both Shapovalov forms
+    and every subset weight function at `params`: (origin, axis, pair), each
+    family v standing for its whole p-lattice v p^Z."""
+    ls = combin.index_vectors(params.n, params.ell)
     subset = [weightfn.subset_form(kind, l, params) for l in ls for kind in ("theta", "linear")]
-    origin, axis, pair = pole_families([_phase_tilde(params), omega_elliptic(params), omega_trig(params), *subset], p)
-    fixed = [0.0] * origin + [p**s * v for v in axis for s in range(1 - _SMAX, _SMAX)]
-    pair = [p**s * v for v in pair for s in range(-_SMAX, _SMAX + 1)]
-    out = (np.array(fixed, dtype=np.complex128), np.array(pair, dtype=np.complex128))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    fields = [_phase_tilde(params), omega_elliptic(params), omega_trig(params), *subset]
+    origin, axis, pair = pole_families(fields, params.p)
+    return origin, tuple(map(complex, axis)), tuple(map(complex, pair))
 
 
 def _residue_radii(center, params):
@@ -174,39 +172,38 @@ def _residue_radii(center, params):
     singularity it must exclude (the trapezoidal rule converges like rho^M).
 
     Base radius is _SHRINK times the distance to the nearest other
-    singularity (fixed catalog poles, eta-shifted partners, origin), taken
-    for every coordinate at once; poles within 1e-9 |c_k| of c_k are the
-    point's own, and more than 6 of them is a degeneracy.  When a pair
-    divisor t_k = m t_j of the catalog passes through the center
-    (|c_k - m c_j| < 1e-8 |m c_j|), the inner circle (larger k; extracted
-    earlier per the nested convention) is forced to at most 0.2 times the
-    divisor's displacement |c_k / c_j| r_j under the outer circle, so the
-    extraction keeps picking the constant divisor only.  A plain axis has
-    rho = _SHRINK; a divisor axis has r_k / (|c_k / c_j| r_j) <= 0.2, which
-    also bounds the singularity that the outer circle j sees inside its own.
+    singularity: the origin, the member of every point family v p^Z nearest
+    c_k, and the partner m c_j of every pair family with m nearest c_k / c_j.
+    A member within 1e-9 |c_k| of c_k is the point's own (more than 6 are a
+    degeneracy), and the family's nearest other member lies inward, as
+    |1 - p^-s| = |p|^-s |1 - p^s|.  When a pair divisor t_k = m t_j passes
+    through the center (|c_k - m c_j| < 1e-8 |m c_j|), the inner circle
+    (larger k; extracted earlier per the nested convention) is forced to at
+    most 0.2 times the divisor's displacement |c_k / c_j| r_j under the outer
+    circle, so the extraction keeps picking the constant divisor only.  A
+    plain axis has rho = _SHRINK; a divisor axis has r_k / (|c_k / c_j| r_j)
+    <= 0.2, which also bounds what the outer circle j sees inside its own.
     """
-    c = np.asarray(center, dtype=np.complex128)
-    ell = len(c)
-    fixed, pair = _pole_catalog(params)
-    # every coordinate against the fixed catalog and the partners m c_b at once
-    partners = np.multiply.outer(pair, c)
-    d = np.abs(c[:, None] - np.concatenate((fixed, partners.ravel())))
-    # |c_k - m c_j| as (k, m, j): the divisor t_k = m t_j passes through the
-    # centre where it is below 1e-8 |m c_j|; a coordinate's own partners
-    # m c_k are none of its singularities
-    pair_d = d[:, len(fixed) :].reshape(ell, len(pair), ell)
-    through = (pair_d < 1e-8 * np.abs(partners)).any(axis=1).tolist()
-    axes = np.arange(ell)
-    pair_d[axes, :, axes] = math.inf
-    own = d < 1e-9 * np.abs(c)[:, None]
-    d[own] = math.inf
-    dmin = d.min(axis=1).tolist()
-    if max(np.count_nonzero(own, axis=1).tolist()) > 6 or math.inf in dmin:
-        raise DegeneracyError("multiple singularity intersection at residue point")
+    origin, axis, pair = _pole_families(params)
+    p, c = complex(params.p), [complex(v) for v in center]
     radii, rho = [], _SHRINK
-    for k in range(ell):
-        divisors = [(abs(c[k] / c[j]), radii[j]) for j in range(k) if through[k][j]]
-        rk = min([_SHRINK * dmin[k]] + [0.2 * m * rj for m, rj in divisors])
+    for k, ck in enumerate(c):
+        dmin, own, through = abs(ck) if origin else math.inf, 0, set()
+        # (x, scale, families, j), j = k for the point families: |c_k - m c_j| = |c_j| |c_k / c_j - m|
+        sets = [(ck, 1.0, axis, k)] + [(ck / cj, abs(cj), pair, j) for j, cj in enumerate(c) if j != k]
+        for x, scale, families, j in sets:
+            for v in families:
+                s, d = _nearest_p_power(x, v, p)
+                if j < k and d < 1e-8 * abs(v * p**s):
+                    through.add(j)
+                if d < 1e-9 * abs(x):
+                    own += 1
+                    s, d = _nearest_p_power(x, v, p, s + 1)
+                dmin = min(dmin, scale * d)
+        if own > 6 or dmin == math.inf:
+            raise DegeneracyError("multiple singularity intersection at residue point")
+        divisors = [(abs(ck / c[j]), radii[j]) for j in sorted(through)]
+        rk = min([_SHRINK * dmin] + [0.2 * m * rj for m, rj in divisors])
         rho = max([rho] + [rk / (m * rj) for m, rj in divisors])
         radii.append(rk)
     return tuple(radii), rho
@@ -601,15 +598,6 @@ def _qpoch_ratio_plattice(A, B, p):
     return out
 
 
-def _p_lattice_exponent(r, p):
-    """Integer s with r = p^s, or None if r is off the lattice."""
-    ap = abs(p)
-    if abs(r) == 0 or ap == 0:
-        return None
-    s = round(math.log(abs(r)) / math.log(ap))
-    return s if abs(r / p**s - 1.0) < 1e-9 else None
-
-
 # Relative shell size at which the Askey and q-Selberg lattice sums stop, and
 # the last shell of the general Askey and the q-Selberg sums.
 _LATTICE_TOL = 1e-13
@@ -659,10 +647,19 @@ def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40):
     def v(s):
         return p**s * b if s >= 0 else p ** (-s - 1) * a
 
+    exponents = {}  # delta with r = p^delta (None off the lattice) per ratio r, over all shells
+
+    def exponent(r):
+        # r = p^delta where the member of the lattice r p^Z nearest 1 is 1
+        if r not in exponents:
+            s, d = _nearest_p_power(1.0, r, p)
+            exponents[r] = -s if d < 1e-9 else None
+        return exponents[r]
+
     def pair_factors(us):
         j, k = np.triu_indices(ell, 1)
         r = us[:, k] / us[:, j]
-        deltas = [_p_lattice_exponent(rv, p) for rv in r.ravel().tolist()]
+        deltas = [exponent(rv) for rv in r.ravel().tolist()]
         lattice = np.array([d is not None for d in deltas], dtype=bool).reshape(r.shape)
         out = np.empty_like(r)
         out[lattice] = [_qpoch_ratio_plattice(1 - m + d, 1 + m + d, p) for d in deltas if d is not None]

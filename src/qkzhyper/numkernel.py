@@ -56,6 +56,38 @@ _PP_INF_CACHE = 256
 _log_abs_p = functools.lru_cache(maxsize=_PP_INF_CACHE)(math.log)
 
 
+def _nearest_p_power(x, v, p, lo=None):
+    """(s, d): the member v p^s of the lattice v p^Z (of its part s >= lo if
+    lo is given) nearest to x, and d = |x - v p^s|; x, v != 0 and 0 < |p| < 1.
+
+    The walk starts at s* = round(log|x / v| / log|p|) and goes outward and
+    inward.  Past s* the moduli |v p^s| move away from |x| on either side, so
+    their distance from |x|, a lower bound of every further distance, grows:
+    a side stops once it reaches the best distance so far.  The inward side
+    also stops at the first member too small to change |x| in floating point.
+    s* +- 1 alone can miss the nearest: at p = -0.3 the member p^2 v is
+    0.91 |v| from v, while p v and v / p are 1.3 |v| and 4.33 |v| away."""
+    ax, ap = abs(x), abs(p)
+    s = round(math.log(ax / abs(v)) / _log_abs_p(ap))
+    if lo is not None and s < lo:
+        s = lo
+    w = v * p**s
+    best_s, best = s, abs(x - w)
+    for dk, q in ((-1, 1 / p), (1, p)):  # outward, moduli above |x| and growing; then inward
+        k, u = s, w
+        while dk > 0 or lo is None or k > lo:
+            k, u = k + dk, u * q
+            m = abs(u)
+            if abs(m - ax) >= best:
+                break
+            d = abs(x - u)
+            if d < best:
+                best_s, best = k, d
+            if ax + m == ax:
+                break
+    return best_s, best
+
+
 def _umax(u):
     if isinstance(u, (int, float, complex)):
         return abs(u)
@@ -315,12 +347,15 @@ class Integrand:
         return complex(acc[0]) if single else acc
 
     def _guard(self, ts):
+        # 1 - u vanishes at u = 1, (u; p)_inf on the lattice p^-k (k >= 0), theta(u) also where (p/u; p)_inf does
         for f in (f for term in self.terms for f in term if f.den is not None and f.kind != "monomial"):
             u = complex(_arg(f.den, f, ts)[0])
-            # (u;p)_inf vanishes at u = p^-k; theta also where (p/u;p)_inf does
-            us = [u, self.p / u] if f.kind == "theta" and u else [u]
-            n = 1 if f.kind == "linear" else DEFAULT_POLICY.nterms(self.p, max(map(abs, us)))
-            if min(abs(1 - self.p**k * v) for k in range(n) for v in us) < POLE_GUARD:
+            if f.kind == "linear":
+                near = abs(1 - u) < POLE_GUARD
+            else:
+                us = [u, self.p / u] if f.kind == "theta" and u else [u]
+                near = any(_nearest_p_power(1.0, v, self.p, 0)[1] < POLE_GUARD for v in us if v)
+            if near:
                 raise PoleProximityError(f"point {ts[0]} within {POLE_GUARD} of a pole of the integrand")
 
 
@@ -329,7 +364,7 @@ def pole_families(integrands, p):
     points t_a, and the multipliers m of t_a = m t_b (both orientations), at
     which a denominator vanishes, one per p-lattice.  A pair ratio with both
     sides on one lattice (eta in p^Z) stacks pair divisors: DegeneracyError."""
-    same = lambda v, w: _dist_to_p_powers(v / w, p) < 1e-9
+    same = lambda v, w: _nearest_p_power(1.0, v / w, p)[1] < 1e-9
     add = lambda fams, *vs: fams.extend(v for v in vs if not any(same(v, w) for w in fams))
     origin, axis, pair = False, [], []
     for f in (f for F in integrands for term in F.terms for f in term if f.den is not None):
@@ -482,56 +517,28 @@ class ParameterSet:
 
     def margins(self):
         """Smallest multiplicative distances of the three resonance families
-        (npZ), (Lass), (assum) from the forbidden set p^s eta^r, |s| <= _MARGIN_SMAX."""
-        return {
-            "npZ": self._margin_npZ(),
-            "Lass": self._margin_family([x * x for x in self.xi]),
-            "assum": self._margin_assum(),
-        }
+        (npZ), (Lass), (assum) from the forbidden set p^s eta^r, s in Z: the
+        distance of v is |v / p^s - 1|, where v p^-s is the member of v p^Z nearest 1."""
 
-    def _margin_npZ(self):
-        best = math.inf
-        for r in range(1, max(self.ell, 1) + 1):
-            v = self.eta**r
-            best = min(best, _dist_to_p_powers(v, self.p))
-        return best
+        def dist(v):
+            s, _ = _nearest_p_power(1.0, complex(v), complex(self.p))
+            return abs(v / self.p**-s - 1.0)
 
-    def _margin_family(self, values):
-        best = math.inf
         rs = range(1 - self.ell, self.ell) if self.ell > 0 else range(0, 1)
-        for v in values:
-            for r in rs:
-                best = min(best, _dist_to_p_powers(v * self.eta**-r, self.p))
-        return best
-
-    def _margin_assum(self):
-        vals = []
-        for l in range(self.n):
-            for m in range(self.n):
-                if l == m:
-                    continue
-                zr = self.z[l] / self.z[m]
-                for sl in (1, -1):
-                    for sm in (1, -1):
-                        vals.append(self.xi[l] ** sl * self.xi[m] ** sm * zr)
-        return self._margin_family(vals) if vals else math.inf
-
-
-# p-shells |s| <= _MARGIN_SMAX searched by the genericity margins
-_MARGIN_SMAX = 40
-
-
-def _dist_to_p_powers(v, p):
-    """min over s in [-_MARGIN_SMAX, _MARGIN_SMAX] of |v / p^s - 1|."""
-    ap, av = abs(p), abs(v)
-    best = math.inf
-    # only |p|^s of comparable modulus can be close
-    if av <= 0:
-        return best
-    s0 = round(math.log(av) / math.log(ap)) if ap not in (0.0,) else 0
-    for s in range(max(-_MARGIN_SMAX, s0 - 2), min(_MARGIN_SMAX, s0 + 2) + 1):
-        best = min(best, abs(v / p**s - 1.0))
-    return best
+        family = lambda vals: min((dist(v * self.eta**-r) for v in vals for r in rs), default=math.inf)
+        assum = [
+            self.xi[l] ** sl * self.xi[m] ** sm * (self.z[l] / self.z[m])
+            for l in range(self.n)
+            for m in range(self.n)
+            if l != m
+            for sl in (1, -1)
+            for sm in (1, -1)
+        ]
+        return {
+            "npZ": min(dist(self.eta**r) for r in range(1, max(self.ell, 1) + 1)),
+            "Lass": family([x * x for x in self.xi]),
+            "assum": family(assum),
+        }
 
 
 def assert_admissible(params, delta=0.05):

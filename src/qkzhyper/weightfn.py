@@ -23,7 +23,7 @@ import numpy as np
 from . import combin
 from .errors import ResonanceError
 from .grid import as_batch, as_points
-from .numkernel import DECL_CACHE, Factor, Integrand, _dist_to_p_powers, qpoch, theta, theta_prime_one, theta_ratio
+from .numkernel import DECL_CACHE, Factor, Integrand, _nearest_p_power, qpoch, theta, theta_prime_one, theta_ratio
 
 _TINY = 1e-240
 
@@ -225,7 +225,7 @@ def c_coeff(l, params):
     n, ell = params.n, params.ell
 
     def th(u):
-        if u == 0 or _dist_to_p_powers(u, p) < _RESONANCE_MARGIN:
+        if u == 0 or _nearest_p_power(1.0, complex(u), complex(p))[1] < _RESONANCE_MARGIN:
             raise ResonanceError("theta zero in a tensor-coordinate denominator")
         return theta(u, p)
 

@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from qkzhyper import cli, suites
+from qkzhyper import cli, cli_params, suites
 from qkzhyper.cli_params import kappa_margins_ok, quadrature_band_ok, sample_params
 from qkzhyper.numkernel import ParameterSet, assert_admissible
 
@@ -24,6 +25,107 @@ def test_sampler_margin_audit():
         assert_admissible(P, delta=0.05)
         assert quadrature_band_ok(P)
         assert kappa_margins_ok(P)
+
+
+def _band_ok_loop(value, p):
+    """Enumerated reference of cli_params._band_ok: |p^s value|, s < 60."""
+    v, ap = abs(value), abs(p)
+    for _ in range(60):
+        if cli_params.BAND < v < 1.0 / cli_params.BAND:
+            return False
+        v *= ap
+        if v < cli_params.BAND * ap:
+            break
+    return True
+
+
+def _p_distance_loop(values, p, smax=40):
+    """min over the values v and |s| <= smax of |v / p^s - 1|.  Every (v, s)
+    is screened at once in array arithmetic, and those within rounding of the
+    smallest are evaluated as the margins evaluate them, one at a time."""
+    if not values:
+        return math.inf
+    pows = [p**s for s in range(-smax, smax + 1)]
+    screen = np.abs(np.divide.outer(np.array(values), np.array(pows)) - 1.0)
+    near = np.argwhere(screen <= screen.min() * (1 + 1e-9) + 1e-15)
+    return min(abs(values[i] / pows[j] - 1.0) for i, j in near)
+
+
+def _quadrature_band_ok_loop(P):
+    values = [x for m in range(P.n) for x in (P.xi[m] * P.z[m], P.z[m] / P.xi[m] / P.p)]
+    values += [1.0 / abs(P.eta), abs(P.eta) * abs(P.p)]
+    return all(_band_ok_loop(v, P.p) for v in values)
+
+
+def _kappa_margins_ok_loop(P, smax=40):
+    p, eta, ell, delta = P.p, P.eta, P.ell, cli_params.KAPPA_MARGIN
+    for r in range(max(ell, 1)):
+        base_p, base_m = eta**-r * P.xi_prod, eta**r / P.xi_prod
+        for s in range(smax):
+            if abs(P.kappa / (p**s * base_p) - 1) < delta or abs(P.kappa * p ** (s + 1) / base_m - 1) < delta:
+                return False
+    for m in range(P.n - 1):
+        prod = P.kappa
+        for i in range(P.n):
+            prod = prod * P.xi[i] if i <= m else prod / P.xi[i]
+        if _p_distance_loop([prod * eta**-r for r in range(1 - ell, ell)], p) < delta:
+            return False
+    return True
+
+
+def _margins_loop(P):
+    rs = range(1 - P.ell, P.ell) if P.ell > 0 else range(0, 1)
+    assum = [
+        P.xi[l] ** sl * P.xi[m] ** sm * (P.z[l] / P.z[m])
+        for l in range(P.n)
+        for m in range(P.n)
+        if l != m
+        for sl in (1, -1)
+        for sm in (1, -1)
+    ]
+    return {
+        "npZ": _p_distance_loop([P.eta**r for r in range(1, max(P.ell, 1) + 1)], P.p),
+        "Lass": _p_distance_loop([x * x * P.eta**-r for x in P.xi for r in rs], P.p),
+        "assum": _p_distance_loop([v * P.eta**-r for v in assum for r in rs], P.p),
+    }
+
+
+def test_sampler_lattice_tests_match_enumerated_references(monkeypatch):
+    # every candidate that sample_params tries, over 5 regimes x 7 (n, ell) x
+    # seeds 0-59: the nearest-member tests equal the enumerated shells exactly
+    tried = []
+
+    def checked(fn, ref):
+        def wrapper(P):
+            got = fn(P)
+            assert got == ref(P), (fn.__name__, P)
+            tried.append(fn.__name__)
+            return got
+
+        return wrapper
+
+    for owner, name, ref in (
+        (cli_params, "kappa_margins_ok", _kappa_margins_ok_loop),
+        (cli_params, "quadrature_band_ok", _quadrature_band_ok_loop),
+        (ParameterSet, "margins", _margins_loop),
+    ):
+        monkeypatch.setattr(owner, name, checked(getattr(owner, name), ref))
+    for regime in ("convergent", "solution", "jackson_overlap", "asymptotic", "small_xi"):
+        for n, ell in ((1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (2, 3)):
+            for seed in range(60):
+                sample_params(seed, n, ell, regime)
+    assert {name: tried.count(name) for name in set(tried)} == {
+        "margins": 2142,
+        "kappa_margins_ok": 2100,
+        "quadrature_band_ok": 1680,
+    }
+
+
+def test_band_lattices_are_one_sided():
+    # |p^s value| for s >= 0 only: at |value| = |p| the member of modulus 1
+    # is at s = -1, off the lattice; at |value| = 1 / |p| it is at s = 1
+    for value, ok in ((0.25, True), (4.0, False), (0.25j, True), (-4.0, False)):
+        assert cli_params._band_ok(value, 0.25j) == _band_ok_loop(value, 0.25j) == ok
 
 
 def test_forced_resonance_rejected():

@@ -4,7 +4,7 @@ import pytest
 from qkzhyper import combin, integrate as ig, suites, weightfn as wf
 from qkzhyper.cli_params import sample_params
 from qkzhyper.errors import ConvergenceError, DegeneracyError
-from qkzhyper.numkernel import ParameterSet, phase_phi, qpoch, theta
+from qkzhyper.numkernel import ParameterSet, _nearest_p_power, phase_phi, qpoch, theta
 
 RNG = np.random.default_rng(12)
 
@@ -171,7 +171,7 @@ def test_torus_bad_measure_raises_before_integrand(ell):
     assert ig.torus_integral(f, ell, ig.QuadratureSpec(8), measure="dt") != 0
 
 
-def _residue_radii_loop(center, params, shrink=0.05, smax=24):
+def _residue_radii_loop(center, params, shrink=0.05, smax=80):
     """Scalar reference of integrate._residue_radii, one candidate at a time."""
     p, eta = params.p, params.eta
     fixed = [0.0]
@@ -186,8 +186,9 @@ def _residue_radii_loop(center, params, shrink=0.05, smax=24):
             if b != k:
                 for s in range(-smax, smax + 1):
                     cands += [p**s * eta * cb, p**s / eta * cb, p**s * cb]
-        near = [abs(ck - c) for c in cands if abs(ck - c) < 1e-9 * abs(ck)]
-        dmin = min(abs(ck - c) for c in cands if abs(ck - c) >= 1e-9 * abs(ck))
+        ds = [abs(ck - c) for c in cands]
+        near = [d for d in ds if d < 1e-9 * abs(ck)]
+        dmin = min(d for d in ds if d >= 1e-9 * abs(ck))
         assert len(near) <= 6
         rk = shrink * dmin
         for j in range(k):
@@ -223,7 +224,7 @@ def test_residue_radii_match_scalar_reference():
         P = sample_params(11 * n + ell, n, ell, regime=regime)
         for side in ("x", "y"):
             for mvec in combin.index_vectors(n, ell):
-                for shift in ((0,) * ell, (1,) + (0,) * (ell - 1), (0,) * (ell - 1) + (2,)):
+                for shift in (s for shell in range(3) for s in combin.index_vectors(ell, shell)):
                     sh = shift if side == "x" else tuple(-v for v in shift)
                     c = wf.special_point(mvec, P, side, sh)
                     got, _ = ig._residue_radii(c, P)
@@ -231,14 +232,44 @@ def test_residue_radii_match_scalar_reference():
                     assert np.allclose(got, want, rtol=1e-14, atol=0), (mvec, side, shift)
 
 
+def test_residue_radii_complete_on_far_shells():
+    # the x-points of shells 24-28 of the qkz suite's solution draw (and of
+    # its swap): the subset W_ell's theta poles p^s xi_m z_m lie on every
+    # shell, so the nearest singularity of x<(m, s)> can be the other index's
+    # point of the same shell, far outside any fixed window of shells
+    P = sample_params(4 + 500, 2, 1, regime="solution")
+    for Q in (P, P.permuted((1, 0))):
+        for mvec in combin.index_vectors(2, 1):
+            for s in range(24, 29):
+                c = wf.special_point(mvec, Q, "x", (s,))
+                got, _ = ig._residue_radii(c, Q)
+                assert np.allclose(got, _residue_radii_loop(c, Q), rtol=1e-12, atol=0), (mvec, s)
+
+
+def test_qkz_suite_doubles_one_circle(monkeypatch):
+    # with every singularity in the radii, the one circle of the seed-0 qkz
+    # suite that needs 32 nodes is a shell-0 point under a large phase
+    # function, not an undersized circle
+    nodes = []
+    circle_sums = ig._circle_sums
+    monkeypatch.setattr(ig, "_circle_sums", lambda f, c, r, M: nodes.append((M, tuple(c))) or circle_sums(f, c, r, M))
+    recs = suites.run_suite("qkz", seed=4)["checks"]
+    assert all(r["status"] == "pass" for r in recs)
+    doubled = [c for M, c in nodes if M != 16]
+    assert len(doubled) == 1 and {M for M, _ in nodes} == {16, 32}
+    P = sample_params(4 + 500, 2, 1, regime="solution")
+    shell0 = [wf.special_point(m, P, "x", (0,)) for m in combin.index_vectors(2, 1)]
+    assert any(np.allclose(doubled[0], c, rtol=1e-15) for c in shell0)
+
+
 def test_pole_catalog_is_two_sided():
     # omega_elliptic's theta quotients have poles at p^s z_m / xi_m and zeros
-    # at p^s xi_m z_m for s of both signs
+    # at p^s xi_m z_m for s of both signs: both lie on a cached family's lattice
     P = sample_params(3, 3, 1)
-    fixed, _ = ig._pole_catalog(P)
+    _, axis, _ = ig._pole_families(P)
     for m in range(P.n):
         for v in (P.p * P.z[m] / P.xi[m], P.xi[m] * P.z[m] / P.p):
-            assert np.min(np.abs(fixed - v)) < 1e-15 * abs(v)
+            assert min(_nearest_p_power(v, w, P.p)[1] for w in axis) < 1e-15 * abs(v)
 
 
 def test_shapovalov_checks_near_uncatalogued_pole():
@@ -256,7 +287,7 @@ def test_residue_radii_degenerate_point():
         ig._residue_radii((0.5, 0.5, 0.5), P)
 
 
-def _on_pair_divisor(center, params, smax=24):
+def _on_pair_divisor(center, params, smax=80):
     """Whether a pair divisor t_k = p^s eta^e t_j (j < k) passes through the centre."""
     p, eta = params.p, params.eta
     return any(
@@ -414,6 +445,11 @@ def test_qselberg_jackson():
         ig.qselberg_jackson(0.4, 0.9, 0.55, 0.3, 2)
 
 
+def _lattice_exponent(r, p, smax=80):
+    """Integer s, |s| <= smax, with r = p^s, or None if r is off the lattice."""
+    return next((s for s in range(-smax, smax + 1) if abs(r / p**s - 1.0) < 1e-9), None)
+
+
 def _ascj_sum_loop(a, b, alpha, beta, p, m, ell, cutoff=40):
     """Scalar reference of integrate.ascj_sum's lattice sum, one term at a
     time with scalar qpoch calls."""
@@ -429,7 +465,7 @@ def _ascj_sum_loop(a, b, alpha, beta, p, m, ell, cutoff=40):
         for jv in range(ell):
             for k in range(jv + 1, ell):
                 r = us[k] / us[jv]
-                delta = ig._p_lattice_exponent(r, p)
+                delta = _lattice_exponent(r, p)
                 if delta is None:
                     out *= qp(p * r / x) / qp(p * x * r)
                 else:
@@ -510,7 +546,7 @@ def test_lattice_sums_match_scalar_reference(ell):
         # shell 1 holds same-family pairs (u_1 / u_0 = p^delta, the cancelled
         # lattice limit) and mixed a/b pairs (off the lattice, to the kernel)
         v = lambda s: p**s * b if s >= 0 else p ** (-s - 1) * a
-        off = {ig._p_lattice_exponent(v(s1) / v(s0), p) is None for s0, s1 in ig._signed_shell(2, 1)}
+        off = {_lattice_exponent(v(s1) / v(s0), p) is None for s0, s1 in ig._signed_shell(2, 1)}
         assert off == {True, False}
     for m in (1, 2):
         got = ig.ascj_sum(a, b, al, be, p, m, ell)[0]

@@ -205,6 +205,35 @@ def test_p_gamma_sin():
     assert abs(lhs - rhs) / abs(lhs) < 1e-12
 
 
+def test_nearest_p_power_matches_enumeration():
+    # a centre on the member v of a lattice with p = -0.3: of the other members
+    # p v and v / p are 1.3 |v| and 4.33 |v| away, but p^2 v only 0.91 |v|
+    v = 0.7 * np.exp(0.4j)
+    assert numkernel._nearest_p_power(v, v, -0.3) == (0, 0.0)
+    s, d = numkernel._nearest_p_power(v, v, -0.3, 1)
+    assert s == 2 and abs(d - 0.91 * abs(v)) < 1e-15
+    # random points, lattices and nomes, two-sided and one-sided, complex and
+    # real (moduli); at |p| <= 0.6 and |v / x| <= 1e4 every member past
+    # s = 80 is within 2e-14 |x| of the origin, so |s| <= 80 decides each case
+    # to the 1e-12 allowed
+    rng = np.random.default_rng(22)
+    logmod = lambda lo, hi: np.exp(rng.uniform(np.log(lo), np.log(hi)))
+    for case in range(3000):
+        p = logmod(0.02, 0.6) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        x = logmod(0.01, 100) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        v = logmod(0.01, 100) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        if case % 3 == 2:  # a lattice of moduli, as the band and torus checks use
+            x, v, p = float(abs(x)), float(abs(v)), float(abs(p))
+        else:
+            x, v, p = complex(x), complex(v), complex(p)
+        lo = None if case % 2 else int(rng.integers(-6, 7))
+        s, d = numkernel._nearest_p_power(x, v, p, lo)
+        ranked = sorted((abs(x - v * p**k), k) for k in range(-80 if lo is None else lo, 81))
+        (want_d, want_s), (next_d, _) = ranked[:2]
+        assert abs(d - want_d) <= 1e-12 * want_d, (x, v, p, lo)
+        assert s == want_s or next_d - want_d <= 1e-12 * want_d, (x, v, p, lo)
+
+
 def test_parameterset_dictionary_and_margins():
     assert abs(P.q**2 - P.eta) < 1e-14
     for m in range(P.n):
