@@ -213,17 +213,18 @@ def _circle_sums(f, center, radii, M):
     """Sums of the summand f(t) prod_k (t_k - c_k) over the offset M-node
     circles: over all M^ell nodes, over the (M/2)^ell nodes with even index
     on every axis (an offset M/2-node rule, selected by global node index so
-    that the slabs of _grid_slabs do not shift it), and of its modulus."""
+    that the slabs of _grid_slabs do not shift it), and of its modulus;
+    each over the grid axes only, one sum per entry of f's value axes."""
+    grid_axes = tuple(range(-len(center), 0))
     total = half = 0.0 + 0j
     size = 0.0
     for slices, t in _grid_slabs(center, radii, M):
         vals = np.asarray(f(t), dtype=np.complex128)
         for k in range(len(center)):
             vals = vals * (t[..., k] - center[k])
-        vals = np.broadcast_to(vals, t.shape[:-1])
-        total += vals.sum()
-        half += vals[tuple(slice(s.start % 2, None, 2) for s in slices)].sum()
-        size += np.abs(vals).sum()
+        total += vals.sum(axis=grid_axes)
+        half += vals[(..., *(slice(s.start % 2, None, 2) for s in slices))].sum(axis=grid_axes)
+        size += np.abs(vals).sum(axis=grid_axes)
     return total, half, size
 
 
@@ -239,33 +240,34 @@ def multi_residue(f, center, params=None, plan=None):
     Q_(M/2) being the mean over the even nodes.  Under geometric convergence
     that difference is the error of Q_(M/2), and the error of Q_M is about
     its square.  Otherwise M doubles; past ResiduePlan.points (the cap) it
-    raises ConvergenceError.
+    raises ConvergenceError.  Value axes of f give an array of residues on
+    the same circles, and M is accepted once every entry passes its test.
     """
     center = np.asarray(center, dtype=np.complex128)
     ell = len(center)
     if ell == 0:
-        return complex(f(np.zeros((1, 0), dtype=np.complex128))[0])
-    if plan is not None:
-        total, _, _ = _circle_sums(f, center, plan.radii, plan.points)
-        return complex(total / plan.points**ell)
-    if params is None:
+        value = np.asarray(f(np.zeros((1, 0), dtype=np.complex128)), dtype=np.complex128)[..., 0]
+    elif plan is not None:
+        value = _circle_sums(f, center, plan.radii, plan.points)[0] / plan.points**ell
+    elif params is None:
         raise ValueError("need params or an explicit plan")
-    radii, rho = _residue_radii(center, params)
-    M = 2
-    while rho ** (M // 2) > _RESIDUE_TOL and M < ResiduePlan.points:
-        M *= 2
-    while True:
-        total, half, size = _circle_sums(f, center, radii, M)
-        value = total / M**ell
-        estimate = abs(value - half / (M // 2) ** ell)
-        if estimate <= _RESIDUE_TOL * size / M**ell:
-            return complex(value)
-        if M >= ResiduePlan.points:
-            raise ConvergenceError(
-                f"residue at {M} nodes per circle not settled: estimate {estimate:.3g}, "
-                f"mean |summand| {size / M**ell:.3g}"
-            )
-        M *= 2
+    else:
+        radii, rho = _residue_radii(center, params)
+        M = 2
+        while rho ** (M // 2) > _RESIDUE_TOL and M < ResiduePlan.points:
+            M *= 2
+        while True:
+            total, half, size = _circle_sums(f, center, radii, M)
+            value, mean = total / M**ell, size / M**ell
+            estimate = abs(value - half / (M // 2) ** ell)
+            if (estimate <= _RESIDUE_TOL * mean).all():
+                break
+            if M >= ResiduePlan.points:
+                i = np.argmax(estimate - _RESIDUE_TOL * mean)
+                msg = f"estimate {np.ravel(estimate)[i]:.3g}, mean |summand| {np.ravel(mean)[i]:.3g}"
+                raise ConvergenceError(f"residue at {M} nodes per circle not settled: {msg}")
+            M *= 2
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def _shell_residues(f, params, side, shell):
@@ -295,36 +297,39 @@ def special_residue_sum(f, params, side):
 
 def _shell_sum(shell_terms, cutoff, tol):
     """Sum a lattice series shell by shell; shell_terms(s) yields the terms of
-    shell s.
+    shell s.  Terms with value axes are one series per entry, and every rule
+    below holds per entry.
 
     Stops once two consecutive shells are below tol * |total|, from shell 3
     on; reaching shell `cutoff` first raises ConvergenceError.  The tail
     past the last shell is estimated as geometric with the ratio of the last
     two shells, and a tail above tol * |total| raises ConvergenceError too.
-    Returns (total, {"shells", "last_shell", "tail_estimate", "ratio"}).
+    Returns (total, {"shells", "last_shell", "tail_estimate", "ratio"}):
+    `shells` is an int, the others have the value shape.
     """
     total = 0.0 + 0j
     sizes = []
     for shell in range(cutoff + 1):
-        acc = 0.0 + 0j
+        acc = 0 * total  # a zero of the value shape, so an empty shell has it too
         for term in shell_terms(shell):
             acc += term
         total += acc
         sizes.append(abs(acc))
-        bound = tol * max(abs(total), 1e-300)
-        if shell >= 3 and sizes[-1] < bound and sizes[-2] < bound:
+        bound = tol * (abs(total) + 1e-300)  # 1e-300 keeps a zero total's bound positive
+        below = shell >= 3 and (sizes[-1] < bound) & (sizes[-2] < bound)
+        if below.all() if isinstance(below, np.ndarray) else below:  # a scalar series stays on Python floats
             break
     else:
-        raise ConvergenceError(
-            f"lattice sum not settled after {cutoff + 1} shells: last shell {sizes[-1]:.3g}, total {abs(total):.3g}"
-        )
+        rel = np.max(sizes[-1] / bound) * tol
+        raise ConvergenceError(f"lattice sum not settled after {cutoff + 1} shells: last shell {rel:.3g} of |total|")
     last = sizes[-1]
     prev = sizes[-2] if len(sizes) > 1 else last
-    ratio = last / prev if prev > 0 else 0.0
-    tail = last * ratio / (1 - ratio) if 0 < ratio < 1 else last
-    if tail > bound:
-        raise ConvergenceError(f"lattice sum tail estimate {tail:.3g} after {len(sizes)} shells exceeds {bound:.3g}")
-    return total, {"shells": len(sizes), "last_shell": last, "tail_estimate": tail, "ratio": ratio}
+    ratio = np.divide(last, prev, out=np.zeros_like(last), where=prev > 0)
+    tail = np.divide(last * ratio, 1 - ratio, out=np.array(last, dtype=float), where=(0 < ratio) & (ratio < 1))
+    if (tail > bound).any():
+        rel = np.max(tail / bound) * tol
+        raise ConvergenceError(f"lattice sum tail {rel:.3g} of |total| after {len(sizes)} shells above {tol:.3g}")
+    return total, {"shells": len(sizes), "last_shell": last, "tail_estimate": tail[()], "ratio": ratio[()]}
 
 
 def _phase_tilde(params):
@@ -345,7 +350,8 @@ def jackson_sum(Wf, wf, params, side="x", cutoff=60):
     convergence regime it raises ConvergenceError.  Shells are |s|_1, summed
     by _shell_sum at _JACKSON_TOL, which raises ConvergenceError if the sum
     has not settled by shell `cutoff`.  The tail estimate is scaled to the
-    returned value.
+    returned value.  Fields with value axes give a row or matrix of
+    pairings on the same circles, with per-entry report fields.
     """
     ell = params.ell
     if side not in ("x", "y"):
@@ -829,7 +835,7 @@ def _omega(kind, params, const):
 
 
 def shapovalov(flavor, f1, f2, params):
-    """Shapovalov pairing: sum over m of Res(Omega f1 f2) at x<m."""
+    """Shapovalov pairing: sum over m of Res(Omega f1 f2) at x<m, per entry of value axes."""
     om = omega_elliptic(params) if flavor == "elliptic" else omega_trig(params)
 
     def integrand(t):

@@ -39,11 +39,10 @@ def sample_nodes(seed, ell, count):
     return pts
 
 
-def _sample(fields, nodes):
-    """(nodes, fields) matrix of every field at every node: one call per
-    field on all nodes at once."""
-    count = len(nodes)
-    return np.array([np.broadcast_to(f(nodes), (count,)) for f in fields]).T
+def _sample(fields, t):
+    """Every field at every point of t (a batch (..., ell) or a ProductGrid),
+    stacked on a leading field axis: one call per field on all points."""
+    return np.array([np.broadcast_to(f(t), t.shape[:-1]) for f in fields])
 
 
 def expand_in_basis(targets, basis, ell, seed=1):
@@ -52,12 +51,12 @@ def expand_in_basis(targets, basis, ell, seed=1):
     dim = len(basis)
     for attempt in range(_RETRIES + 1):
         nodes = sample_nodes(seed + 17 * attempt, ell, dim)
-        B = _sample(basis, nodes)
+        B = _sample(basis, nodes).T
         if np.linalg.cond(B) < _COND_CAP:
             break
     else:
         raise ResonanceError("ill-conditioned basis sample system")
-    return np.linalg.solve(B, _sample(targets, nodes))
+    return np.linalg.solve(B, _sample(targets, nodes).T)
 
 
 def tensor_coordinates(flavor, tau, params):
@@ -190,7 +189,7 @@ def psi_solution(l_index, tau, params, method="jackson", spec=integrate.Quadratu
     idx = combin.index_vectors(params.n, params.ell)
     ws = [(lambda t, mt=combin.permute_index(mv, tau): weightfn.w_trig(mt, t, pp, "subset")) for mv in idx]
     if method == "jackson":
-        vals = [integrate.jackson_sum(Wf, wfn, pp, side="x")[0] for wfn in ws]
+        vals, _ = integrate.jackson_sum(Wf, lambda t: _sample(ws, t), pp, side="x")
     elif method == "quadrature":
         (vals,) = integrate.hyper_I_many([Wf], ws, pp, spec).tolist()
     else:
@@ -235,12 +234,10 @@ def mono_functoriality_residual(l_index, params):
     lhs = psi_solution(l_index, swap, params)
     _, Wf, yval = _global_element(l_index, swap, params)
     pz = params.with_z((params.z[1], params.z[0]))
-    rhs = []
-    for mv in combin.index_vectors(2, params.ell):
-        wfn = lambda t: weightfn.w_trig(mv, t, pz, "subset")
-        val, _ = integrate.jackson_sum(Wf, wfn, pz, side="x")
-        rhs.append(weightfn.b_coeff(mv, params) * yval * val)
-    rhs = np.asarray(rhs, dtype=np.complex128)
+    idx = combin.index_vectors(2, params.ell)
+    ws = [(lambda t, mv=mv: weightfn.w_trig(mv, t, pz, "subset")) for mv in idx]
+    vals, _ = integrate.jackson_sum(Wf, lambda t: _sample(ws, t), pz, side="x")
+    rhs = np.array([weightfn.b_coeff(mv, params) for mv in idx]) * yval * vals
     L = params.Lambda
     R = repthy.trig_R_block(L[0], L[1], params.z[1] / params.z[0], params.q, params.ell)
     return np.linalg.norm(lhs - R @ rhs) / max(np.linalg.norm(lhs), 1e-300)
@@ -248,19 +245,15 @@ def mono_functoriality_residual(l_index, params):
 
 def hyper_map(tau, tau_p, params):
     """Matrix of the hypergeometric map: entry [l, m] = c^tau'_l b_m
-    I(W^tau'_l, w^tau_m), each pairing an x-side Jackson sum.  As a linear
-    map (V^e_tau')_ell -> (V_tau)_ell the transpose acts on coordinates."""
-    n, ell = params.n, params.ell
-    idx = combin.index_vectors(n, ell)
-    out = np.zeros((len(idx), len(idx)), dtype=np.complex128)
-    for i, l in enumerate(idx):
-        cW = weightfn.c_coeff(combin.permute_index(l, tau_p), params.permuted(tau_p))
-        Wf = lambda t: weightfn.W_tau(l, t, params, tau_p, "subset")
-        for j, mv in enumerate(idx):
-            wfn = lambda t: weightfn.w_tau(mv, t, params, tau, "subset")
-            val, _ = integrate.jackson_sum(Wf, wfn, params, side="x")
-            out[i, j] = cW * weightfn.b_coeff(mv, params) * val
-    return out
+    I(W^tau'_l, w^tau_m), the pairings one x-side Jackson sum with rows W and
+    columns w on value axes.  As a linear map (V^e_tau')_ell -> (V_tau)_ell
+    the transpose acts on coordinates."""
+    idx = combin.index_vectors(params.n, params.ell)
+    Ws = [(lambda t, l=l: weightfn.W_tau(l, t, params, tau_p, "subset")) for l in idx]
+    ws = [(lambda t, mv=mv: weightfn.w_tau(mv, t, params, tau, "subset")) for mv in idx]
+    vals, _ = integrate.jackson_sum(lambda t: _sample(Ws, t)[:, None], lambda t: _sample(ws, t), params, side="x")
+    cW = [weightfn.c_coeff(combin.permute_index(l, tau_p), params.permuted(tau_p)) for l in idx]
+    return np.outer(cW, [weightfn.b_coeff(mv, params) for mv in idx]) * vals
 
 
 # ---------------------------------------------------------------------------

@@ -460,14 +460,14 @@ def vanishing_checks(seed):
     Plow = P.with_kappa(kap_low).with_ell(1)
     Wlow = lambda t: weightfn.W_ell((0, 1), t, Plow, "subset")
     Qel = weightfn.boundary_element("Q", Wlow, P)
+    Wref = lambda t: weightfn.W_ell((1, 1), t, P, "subset")
     worst = 0.0
     scale = 0.0
     for mv in combin.index_vectors(2, 2):
         pt = weightfn.special_point(mv, P, "x")
-        r = integrate.multi_residue(Qel, pt, params=P)
+        r, ref = integrate.multi_residue(lambda t: solutions._sample([Qel, Wref], t), pt, params=P)
         worst = max(worst, abs(r))
-        Wref = lambda t: weightfn.W_ell((1, 1), t, P, "subset")
-        scale = max(scale, abs(integrate.multi_residue(Wref, pt, params=P)))
+        scale = max(scale, abs(ref))
     out.append(_res("boundary-residue-vanishing", worst / scale, 1e-9))
     kap_low = P.kappa * P.eta
     Plow = P.with_kappa(kap_low).with_ell(1)
@@ -479,7 +479,6 @@ def vanishing_checks(seed):
         pt = weightfn.special_point(mv, P, "y")
         v = complex(Qpel(pt[None, :])[0])
         worst = max(worst, abs(v))
-        Wref = lambda t: weightfn.W_ell((1, 1), t, P, "subset")
         scale = max(scale, abs(complex(Wref(pt[None, :])[0])))
     out.append(_res("boundary-value-vanishing", worst / scale, 1e-9))
     # I(W, D_a g) = 0 for the rational-family derivative, (n, ell) = (2, 1)
@@ -530,7 +529,8 @@ def shapovalov_checks(P):
 
     def diagonal(kind, label, f1, f2, N):
         k = len(IV)
-        S = [[integrate.shapovalov(kind, lambda t: f1(l, t), lambda t: f2(m, t), P) for m in IV] for l in IV]
+        stack = lambda f, t: solutions._sample([(lambda t, l=l: f(l, t)) for l in IV], t)
+        S = integrate.shapovalov(kind, lambda t: stack(f1, t)[:, None], lambda t: stack(f2, t), P)
         out = [_res(f"shapovalov-{label}-diag-{tag}", max(abs(S[i][i] - N[i]) / abs(N[i]) for i in range(k)), 1e-8)]
         if k > 1:
             offd = max(abs(S[i][j]) for i in range(k) for j in range(k) if i != j)

@@ -119,6 +119,22 @@ def test_shell_sum_raises_on_tail_past_stopping_rule():
         ig._shell_sum(lambda s: [0.99**s], cutoff=5000, tol=1e-12)
 
 
+def test_shell_sum_rules_hold_per_entry():
+    # two geometric series on a value axis: the sum runs until both have
+    # settled, each entry reports its own numerics, and a tail that only the
+    # second entry leaves raises
+    alone = [ig._shell_sum(lambda s, r=r: [r**s], cutoff=200, tol=1e-12) for r in (0.3, 0.6)]
+    total, rep = ig._shell_sum(lambda s: [np.array([0.3**s, 0.6**s])], cutoff=200, tol=1e-12)
+    assert rep["shells"] == max(r["shells"] for _, r in alone) > min(r["shells"] for _, r in alone)
+    assert rep["ratio"].shape == rep["tail_estimate"].shape == (2,)
+    assert abs(rep["ratio"][0] - 0.3) < 1e-12 and abs(rep["ratio"][1] - 0.6) < 1e-12
+    for v, (want, _) in zip(total, alone):
+        assert abs(v - want) < 1e-12 * abs(want)
+    assert total[1] == alone[1][0] and rep["tail_estimate"][1] == alone[1][1]["tail_estimate"]
+    with pytest.raises(ConvergenceError):
+        ig._shell_sum(lambda s: [np.array([0.6**s, 0.99**s])], cutoff=5000, tol=1e-12)
+
+
 def test_jackson_sum_raises_at_cutoff():
     # acceptance criterion C06's (2, 1) draw settles after more than two shells
     P = sample_params(9, 2, 1, regime="jackson_overlap")
@@ -390,6 +406,52 @@ def test_residue_estimate_independent_of_chunks(monkeypatch):
     monkeypatch.setattr(ig, "_CHUNK", 1500)  # one node row of axis 0 per slab
     radii, _ = ig._residue_radii(pt, P)
     assert abs(ig.multi_residue(g, pt, params=P) - one) < 1e-14 * _mean_abs_summand(g, pt, radii, 16)
+
+
+def test_stacked_residue_is_each_entry_alone():
+    # value axes share one set of circles: each entry equals its own residue,
+    # at the largest node count any entry needs alone.  Entry 1 carries an
+    # extra pole at r / 0.5 on axis 0, outside the catalog, and is about 1e-6
+    # the size of entry 0, so an acceptance on a pooled norm, or on entry 0
+    # only, stops at entry 0's count and leaves entry 1 unsettled
+    P22 = sample_params(6 + 2 + 2, 2, 2, regime="jackson_overlap")
+    P21 = sample_params(9, 2, 1, regime="jackson_overlap")
+    divisor = wf.special_point((2, 0), P22, "x")
+    assert _on_pair_divisor(divisor, P22)
+    for P, c in ((P22, divisor), (P21, wf.special_point((1, 0), P21, "x"))):
+        f = _jackson_integrand(P)
+        radii, _ = ig._residue_radii(c, P)
+        a = c[0] + radii[0] / 0.5
+        g = lambda t: 1e-6 * radii[0] * f(t) / (t[..., 0] - a)
+        alone = []
+        for h in (f, g):
+            shapes = []
+            alone.append((ig.multi_residue(lambda t: shapes.append(t.shape[0]) or h(t), c, params=P), shapes[-1]))
+        assert alone[0][1] < alone[1][1] == 64
+        shapes = []
+        stacked = lambda t: shapes.append(t.shape[0]) or np.array(np.broadcast_arrays(f(t), g(t)))
+        got = ig.multi_residue(stacked, c, params=P)
+        assert got.shape == (2,) and shapes[-1] == 64
+        for h, v, (want, M) in zip((f, g), got, alone):
+            assert abs(v - want) < 1e-14 * _mean_abs_summand(h, c, radii, M)
+
+
+def test_jackson_sum_with_stacked_w_is_each_sum_alone():
+    # entry 0 (w t_1) settles in fewer shells than the others: the stacked
+    # sum runs until every entry has settled, and reports each entry's numerics
+    P = sample_params(9, 2, 1, regime="jackson_overlap")
+    IV = combin.index_vectors(2, 1)
+    Wf = lambda t: wf.W_ell(IV[0], t, P, "subset")
+    w_last = lambda t: wf.w_trig(IV[-1], t, P, "subset")
+    ws = [lambda t: w_last(t) * t[..., 0], w_last, lambda t: wf.w_trig(IV[0], t, P, "subset")]
+    alone = [ig.jackson_sum(Wf, w, P, side="x") for w in ws]
+    val, rep = ig.jackson_sum(Wf, lambda t: np.array([np.broadcast_to(w(t), t.shape[:-1]) for w in ws]), P, side="x")
+    shells = [r["shells"] for _, r in alone]
+    assert shells[0] < max(shells) and rep["shells"] == max(shells)
+    assert val.shape == rep["tail_estimate"].shape == rep["last_shell"].shape == rep["ratio"].shape == (3,)
+    for v, tail, (want, r) in zip(val, rep["tail_estimate"], alone):
+        assert abs(v - want) < 1e-13 * abs(want)
+        assert tail < 1e-12 * abs(want)
 
 
 def test_jackson_l1_leading_residue():
@@ -666,6 +728,20 @@ def test_jackson_sum_at_ell0_stops_after_the_first_shells():
         assert val == ig.hyper_I_many([Wf], [wfn], P)[0, 0]
         assert report["shells"] == 4
     assert calls == [(1, 0)] * 4
+
+
+def test_stacked_fields_at_ell0_give_stacked_values():
+    # at ell = 0 the empty point's value keeps the field's value axes
+    P = sample_params(3, 2, 1, regime="jackson_overlap").with_ell(0)
+    vals = np.array([3.0 + 1j, -2.0, 0.5j])
+    f = lambda t: vals[:, None] * np.ones(t.shape[:-1])
+    for side in ("x", "y"):
+        got = ig.special_residue_sum(f, P, side)
+        assert got.shape == (3,) and np.array_equal(got, vals)
+    Wf = lambda t: wf.W_ell((0, 0), t, P, "subset")
+    val, report = ig.jackson_sum(Wf, f, P, side="x")
+    assert np.array_equal(val, ig.hyper_I_many([Wf], [lambda t, v=v: v * np.ones(t.shape[:-1]) for v in vals], P)[0])
+    assert report["shells"] == 4 and report["tail_estimate"].shape == (3,)
 
 
 def test_residue_vs_annulus_quadrature():

@@ -83,3 +83,16 @@ def test_vanishing_checks_evaluate_each_special_kappa_boundary_element_once(monk
     monkeypatch.setattr(suites.weightfn, "boundary_element", counted)
     suites.vanishing_checks(seed)
     assert calls == {"Q": 1, "Qprime": 1}
+
+
+@pytest.mark.parametrize("name, want", [("shapovalov", 20), ("qkz", 320), ("pairing-det", 3)])
+def test_residue_pairings_take_one_residue_per_special_point(name, want, monkeypatch):
+    # a row or matrix of pairings is one residue per special point: the
+    # Shapovalov matrices, the solution components, the functoriality
+    # residual, and the boundary residue with its scale, at the default seed
+    calls = []
+    residue = suites.integrate.multi_residue
+    monkeypatch.setattr(suites.integrate, "multi_residue", lambda *a, **k: calls.append(1) or residue(*a, **k))
+    recs = suites.run_suite(name)["checks"]
+    assert all(r["status"] == "pass" for r in recs)
+    assert len(calls) == want
