@@ -46,6 +46,12 @@ class ProductGrid:
     not know the type still gets exact values.  Any other index is taken on
     the dense array.
 
+    Node rows of shape (R, M_a) instead of (M_a,) make a batch of R such
+    grids, point r on node row axes[a][r]: the dense array is then
+    (R, M_0, ..., M_(ell-1), ell) and `t[..., a]` is (R, 1, ..., M_a, ..., 1),
+    so a field that broadcasts over the grid axes evaluates all R grids at
+    once.
+
     `circulant = (M, nodes, shifts)` says that the axes are rows of one
     staggered torus, axes[a] = r unit_roots(M, shifts[a])[nodes[a]], with
     nodes[a] the global node indices the grid holds on axis a; `pair` then
@@ -56,15 +62,15 @@ class ProductGrid:
 
     def __init__(self, axes, circulant=None):
         ell = len(axes)
-        rows = []
-        for a, x in enumerate(axes):
-            x = np.array(x, dtype=np.complex128).reshape((1,) * a + (-1,) + (1,) * (ell - 1 - a))
+        rows = [np.array(x, dtype=np.complex128) for x in axes]
+        lead, nodes = rows[0].shape[:-1], tuple(x.shape[-1] for x in rows)
+        for a, x in enumerate(rows):
+            rows[a] = x = x.reshape(lead + (1,) * a + (-1,) + (1,) * (ell - 1 - a))
             x.flags.writeable = False
-            rows.append(x)
         if circulant is not None:
-            M, nodes, shifts = circulant
-            circulant = (M, [np.reshape(j, x.shape) for j, x in zip(nodes, rows)], list(shifts))
-        self._set(rows, tuple(x.size for x in rows), circulant)
+            M, index, shifts = circulant
+            circulant = (M, [np.reshape(j, x.shape) for j, x in zip(index, rows)], list(shifts))
+        self._set(rows, lead + nodes, circulant)
 
     def _set(self, rows, nodes, circulant):
         self._axes = tuple(rows)

@@ -67,9 +67,15 @@ def _grid_slabs(centers, radii, M):
     memory) in row-major node order; slices[a] is the range of global node
     indices j that the chunk holds on axis a.
 
-    A chunk is a slab along axis 0 with the other axes whole; when one row of
-    axis 0 alone exceeds _CHUNK, the leading axes are fixed one node at a time
-    and the slabs are cut along the first axis whose remaining rows fit.
+    Stacked centres and radii, (ell, R) arrays with column r one point, give
+    the batch of those R grids: node rows (R, M), a leading batch axis in
+    t.shape[:-1], and slices[0] the range of points the chunk holds, ahead
+    of the ell node ranges.  The R M^ell nodes are chunked as one array.
+
+    A chunk is a slab along the first axis with the other axes whole; when
+    one row of that axis alone exceeds _CHUNK, the leading axes are fixed one
+    index at a time and the slabs are cut along the first axis whose
+    remaining rows fit.
 
     The per-axis phase stagger keeps node ratios off the p/eta lattice and the
     diagonals t_a = t_b; an offset uniform grid integrates circles exactly.
@@ -79,19 +85,24 @@ def _grid_slabs(centers, radii, M):
     callers sum np.broadcast_to(vals, t.shape[:-1])."""
     ell = len(radii)
     shifts = [(a + 1.0) / (ell + 2.0) for a in range(ell)]
+    batch = np.shape(centers[0])
+    if batch:  # stacked: a column of centres and radii per axis against its node row
+        centers, radii = np.asarray(centers)[..., None], np.asarray(radii)[..., None]
     nodes = [c + r * unit_roots(M, d) for c, r, d in zip(centers, radii, shifts)]
-    torus = all(c == 0 for c in centers) and len(set(radii)) == 1
-    whole = ell - 1
-    while M**whole > _CHUNK:
+    dims = batch + (M,) * ell
+    torus = not batch and all(c == 0 for c in centers) and len(set(radii)) == 1
+    whole = len(dims) - 1
+    while math.prod(dims[len(dims) - whole :]) > _CHUNK:
         whole -= 1
-    cut = ell - 1 - whole
-    step = _CHUNK // M**whole
-    for fixed in itertools.product(range(M), repeat=cut):
+    cut = len(dims) - 1 - whole
+    step, rest = _CHUNK // math.prod(dims[cut + 1 :]), [slice(0, n) for n in dims[cut + 1 :]]
+    for fixed in itertools.product(*map(range, dims[:cut])):
         head = [slice(j, j + 1) for j in fixed]
-        for start in range(0, M, step):
-            slices = head + [slice(start, min(start + step, M))] + [slice(0, M)] * whole
-            circulant = (M, [np.arange(M)[s] for s in slices], shifts) if torus else None
-            yield slices, ProductGrid([x[s] for x, s in zip(nodes, slices)], circulant)
+        for start in range(0, dims[cut], step):
+            slices = head + [slice(start, min(start + step, dims[cut]))] + rest
+            grid = slices[len(batch) :]
+            circulant = (M, [np.arange(M)[s] for s in grid], shifts) if torus else None
+            yield slices, ProductGrid([x[(*slices[: len(batch)], s)] for x, s in zip(nodes, grid)], circulant)
 
 
 def auto_radius(params):
@@ -214,18 +225,28 @@ def _circle_sums(f, center, radii, M):
     circles: over all M^ell nodes, over the (M/2)^ell nodes with even index
     on every axis (an offset M/2-node rule, selected by global node index so
     that the slabs of _grid_slabs do not shift it), and of its modulus;
-    each over the grid axes only, one sum per entry of f's value axes."""
-    grid_axes = tuple(range(-len(center), 0))
-    total = half = 0.0 + 0j
-    size = 0.0
+    each over the grid axes only, one sum per entry of f's value axes.  A
+    stacked centre (ell, R) with radii (ell, R) sums R circles at once, on
+    one batched grid, with the batch axis last in each sum."""
+    center = np.asarray(center)
+    ell, batch = len(center), center.shape[1:]
+    grid_axes = tuple(range(-ell, 0))
+    sums = [0.0 + 0j, 0.0 + 0j, 0.0]
     for slices, t in _grid_slabs(center, radii, M):
+        at = (slices[0],) + (None,) * ell if batch else ()
         vals = np.asarray(f(t), dtype=np.complex128)
-        for k in range(len(center)):
-            vals = vals * (t[..., k] - center[k])
-        total += vals.sum(axis=grid_axes)
-        half += vals[(..., *(slice(s.start % 2, None, 2) for s in slices))].sum(axis=grid_axes)
-        size += np.abs(vals).sum(axis=grid_axes)
-    return total, half, size
+        for k in range(ell):
+            vals = vals * (t[..., k] - center[k][at])
+        half = vals[(..., *(slice(s.start % 2, None, 2) for s in slices[-ell:]))]
+        parts = (vals.sum(axis=grid_axes), half.sum(axis=grid_axes), np.abs(vals).sum(axis=grid_axes))
+        if not batch:
+            sums = [acc + v for acc, v in zip(sums, parts)]
+            continue
+        if np.ndim(sums[0]) == 0:
+            sums = [np.zeros(v.shape[:-1] + batch, dtype=v.dtype) for v in parts]
+        for acc, v in zip(sums, parts):
+            acc[..., slices[0]] += v
+    return tuple(sums)
 
 
 def multi_residue(f, center, params=None, plan=None):
@@ -242,44 +263,82 @@ def multi_residue(f, center, params=None, plan=None):
     its square.  Otherwise M doubles; past ResiduePlan.points (the cap) it
     raises ConvergenceError.  Value axes of f give an array of residues on
     the same circles, and M is accepted once every entry passes its test.
+
+    A stacked centre, shape (ell, R) with center[k] coordinate k of every
+    point, gives the R residues in one call, with the batch axis last after
+    any value axes.  Each point keeps its own radii, rho, starting M and
+    acceptance test; the points that share an M are evaluated on one
+    batched grid (one call of f per chunk), and a point that fails its test
+    goes on without the points that passed, at the doubled M.  A point alone
+    at its M is evaluated on an unbatched grid, as an unstacked centre is.
+    The kernels take one truncation per block over the whole batch.  Past
+    the cap the error names the point that did not settle.
     """
     center = np.asarray(center, dtype=np.complex128)
     ell = len(center)
     if ell == 0:
-        value = np.asarray(f(np.zeros((1, 0), dtype=np.complex128)), dtype=np.complex128)[..., 0]
-    elif plan is not None:
-        value = _circle_sums(f, center, plan.radii, plan.points)[0] / plan.points**ell
-    elif params is None:
+        return _as_value(np.asarray(f(np.zeros((1, 0), dtype=np.complex128)), dtype=np.complex128)[..., 0])
+    if plan is not None:
+        return _as_value(_circle_sums(f, center, plan.radii, plan.points)[0] / plan.points**ell)
+    if params is None:
         raise ValueError("need params or an explicit plan")
-    else:
-        radii, rho = _residue_radii(center, params)
+    stacked = center.ndim == 2
+    points = list(center.T) if stacked else [center]
+    sized = [_residue_radii(c, params) for c in points]
+    pending, out = {}, None
+    for i, (_, rho) in enumerate(sized):
         M = 2
         while rho ** (M // 2) > _RESIDUE_TOL and M < ResiduePlan.points:
             M *= 2
-        while True:
-            total, half, size = _circle_sums(f, center, radii, M)
-            value, mean = total / M**ell, size / M**ell
-            estimate = abs(value - half / (M // 2) ** ell)
-            if (estimate <= _RESIDUE_TOL * mean).all():
-                break
-            if M >= ResiduePlan.points:
-                i = np.argmax(estimate - _RESIDUE_TOL * mean)
-                msg = f"estimate {np.ravel(estimate)[i]:.3g}, mean |summand| {np.ravel(mean)[i]:.3g}"
-                raise ConvergenceError(f"residue at {M} nodes per circle not settled: {msg}")
-            M *= 2
+        pending.setdefault(M, []).append(i)
+    while pending:
+        M = min(pending)
+        idx = pending.pop(M)
+        if len(idx) == 1:  # one point: an unbatched grid, then a batch axis of one
+            sums = [v[..., None] for v in _circle_sums(f, points[idx[0]], sized[idx[0]][0], M)]
+        else:
+            sums = _circle_sums(f, center[:, idx], np.transpose([sized[i][0] for i in idx]), M)
+        value, half, mean = sums[0] / M**ell, sums[1] / (M // 2) ** ell, sums[2] / M**ell
+        excess = abs(value - half) - _RESIDUE_TOL * mean
+        settled = (excess <= 0).reshape(-1, len(idx)).all(axis=0)
+        if len(idx) == len(points) and settled.all():
+            out = value  # every point settled in this one group
+            break
+        if out is None:
+            out = np.empty(value.shape[:-1] + (len(points),), dtype=np.complex128)
+        out[..., np.array(idx)[settled]] = value[..., settled]
+        for j in np.flatnonzero(~settled):
+            if M < ResiduePlan.points:
+                pending.setdefault(2 * M, []).append(idx[j])
+                continue
+            k = np.argmax(excess[..., j])
+            est, avg = np.ravel(excess[..., j] + _RESIDUE_TOL * mean[..., j])[k], np.ravel(mean[..., j])[k]
+            raise ConvergenceError(
+                f"residue at {tuple(map(complex, points[idx[j]]))} not settled at {M} nodes per circle: "
+                f"estimate {est:.3g}, mean |summand| {avg:.3g}"
+            )
+    return out if stacked else _as_value(out[..., 0])
+
+
+def _as_value(value):
     return complex(value) if np.ndim(value) == 0 else value
 
 
 def _shell_residues(f, params, side, shell):
     """Nested residues of f at the special points of one Jackson shell: x<(m, s)>
     (side "x") or y>(m, -s) (side "y") for every m and every s >= 0 with
-    |s|_1 = shell.  At ell = 0 shell 0 is the empty point and later shells are empty."""
+    |s|_1 = shell, one stacked multi_residue call per m.  At ell = 0 shell 0
+    is the empty point and later shells are empty."""
     ell = params.ell
-    shifts = combin.index_vectors(ell, shell) if ell else ([()] if shell == 0 else [])
+    if ell == 0:
+        if shell == 0:
+            yield multi_residue(f, (), params=params)
+        return
+    shifts = [s if side == "x" else tuple(-v for v in s) for s in combin.index_vectors(ell, shell)]
     for mvec in combin.index_vectors(params.n, ell):
-        for svec in shifts:
-            sh = svec if side == "x" else tuple(-v for v in svec)
-            yield multi_residue(f, weightfn.special_point(mvec, params, side, sh), params=params)
+        points = np.array([weightfn.special_point(mvec, params, side, sh) for sh in shifts])
+        res = multi_residue(f, points.T, params=params)
+        yield from (res.tolist() if res.ndim == 1 else (res[..., j] for j in range(len(points))))
 
 
 def special_residue_sum(f, params, side):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -47,6 +48,77 @@ def test_product_grid_contract():
         np.array(t, copy=False)
     with pytest.raises(ValueError):
         t[..., 0][0, 0] = 5.0
+
+
+def test_batched_grid_is_the_stack_of_single_grids():
+    # node rows (R, M_a): entry r of the batch is the single grid of the rows
+    # r, under t[..., a], list and slice sub-grids, pair and np.asarray
+    rng = np.random.default_rng(5)
+    R, Ms = 3, (4, 5, 2)
+    rows = [rng.normal(size=(R, M)) + 1j * rng.normal(size=(R, M)) for M in Ms]
+    t = ProductGrid(rows)
+    assert t.shape == (R, *Ms, 3) and t.ndim == 5 and t.size == R * math.prod(Ms) * 3
+    dense = np.asarray(t)
+    assert dense.shape == t.shape
+    for a in range(3):
+        assert t[..., a].shape == (R,) + tuple(M if b == a else 1 for b, M in enumerate(Ms))
+    for r in range(R):
+        single = ProductGrid([x[r] for x in rows])
+        np.testing.assert_array_equal(dense[r], np.asarray(single))
+        for a in range(3):
+            np.testing.assert_array_equal(t[..., a][r], single[..., a])
+        for sel in ([2, 0], [1], [0, 1, 0], slice(1, None), slice(None, None, -1)):
+            sub = t[..., sel]
+            assert isinstance(sub, ProductGrid) and sub.shape == dense[..., sel].shape
+            np.testing.assert_array_equal(np.asarray(sub)[r], np.asarray(single[..., sel]))
+        for a, b in itertools.permutations(range(3), 2):
+            x, idx = t.pair(a, b)
+            assert idx is None
+            np.testing.assert_array_equal(x[r], single.pair(a, b)[0])
+
+
+@pytest.mark.parametrize("chunk", [None, 40, 20])
+def test_batched_grid_chunks_match_each_grid(monkeypatch, chunk):
+    # stacked centres and radii (ell, R): the chunks walk the R grids in
+    # order, each node of each grid once, with slices[0] the points held; at
+    # _CHUNK = 40 a chunk holds one point (M^2 = 36 nodes), at 20 one point
+    # is cut into slabs along axis 0
+    if chunk is not None:
+        monkeypatch.setattr(ig, "_CHUNK", chunk)
+    centers = np.array([[0.3 + 0.1j, 1.0, -2.0j], [-1.0, 0.5j, 2.0]])
+    radii = np.array([[0.05, 0.1, 0.2], [0.2, 0.3, 0.1]])
+    M, R = 6, 3
+    want = np.stack([flat_grid(centers[:, r], radii[:, r], M) for r in range(R)])
+    got = np.zeros_like(want)
+    seen = np.zeros(want.shape[:-1], dtype=int)
+    for slices, t in ig._grid_slabs(centers, radii, M):
+        assert t.size // 2 <= ig._CHUNK and t.shape[0] == slices[0].stop - slices[0].start
+        for i, r in enumerate(range(R)[slices[0]]):
+            block = np.asarray(t)[i]
+            rows = np.arange(M * M).reshape(M, M)[tuple(slices[1:])].ravel()
+            got[r, rows] = block.reshape(-1, 2)
+            seen[r, rows] += 1
+    assert (seen == 1).all()
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_declared_fields_on_a_batched_grid_match_each_point(ell):
+    # the phase function and the subset W_ell on a batched residue grid at
+    # the special points x<m> of shells 1 and 2: each entry is the field on
+    # that point's own grid, up to the one truncation per block over the batch
+    P = sample_params(40 + ell, 2, ell, regime="jackson_overlap")
+    mvec = combin.index_vectors(2, ell)[0]
+    points = [wf.special_point(mvec, P, "x", s) for shell in (1, 2) for s in combin.index_vectors(ell, shell)]
+    radii = [tuple(0.01 * abs(c) for c in pt) for pt in points]
+    (_, t), *rest = ig._grid_slabs(np.transpose(points), np.transpose(radii), 8)
+    assert not rest and t.shape[0] == len(points) > 1
+    fields = (lambda t: phase_phi(t, P), lambda t: wf.W_ell(mvec, t, P, "subset"))
+    for r, (pt, rr) in enumerate(zip(points, radii)):
+        (_, single), *_ = ig._grid_slabs(pt, rr, 8)
+        for f in fields:
+            got, want = np.broadcast_to(f(t), t.shape[:-1])[r], np.broadcast_to(f(single), single.shape[:-1])
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-15
 
 
 @pytest.mark.parametrize(

@@ -268,7 +268,8 @@ def test_qkz_suite_doubles_one_circle(monkeypatch):
     # function, not an undersized circle
     nodes = []
     circle_sums = ig._circle_sums
-    monkeypatch.setattr(ig, "_circle_sums", lambda f, c, r, M: nodes.append((M, tuple(c))) or circle_sums(f, c, r, M))
+    record = lambda M, c: nodes.extend((M, tuple(pt)) for pt in np.reshape(c, (len(c), -1)).T)  # per point of a stack
+    monkeypatch.setattr(ig, "_circle_sums", lambda f, c, r, M: record(M, c) or circle_sums(f, c, r, M))
     recs = suites.run_suite("qkz", seed=4)["checks"]
     assert all(r["status"] == "pass" for r in recs)
     doubled = [c for M, c in nodes if M != 16]
@@ -434,6 +435,75 @@ def test_stacked_residue_is_each_entry_alone():
         assert got.shape == (2,) and shapes[-1] == 64
         for h, v, (want, M) in zip((f, g), got, alone):
             assert abs(v - want) < 1e-14 * _mean_abs_summand(h, c, radii, M)
+
+
+def test_stacked_centres_are_each_point_alone():
+    # one stacked call at plain points (16 nodes) and pair-divisor points (32
+    # nodes) of the (2, 2) draw, with value axes in front: entry 1 carries an
+    # extra pole at r_0 / 0.25 from one plain point's circle, so that point
+    # fails at 16 nodes and goes on at 32, with the divisor points.  Each
+    # point and entry equals its own call, and the grid calls are the groups
+    # of points that share an M
+    P = sample_params(6 + 2 + 2, 2, 2, regime="jackson_overlap")
+    f = _jackson_integrand(P)
+    points = [wf.special_point(m, P, "x", s) for m in combin.index_vectors(2, 2) for s in combin.index_vectors(2, 1)]
+    plain = [i for i, c in enumerate(points) if not _on_pair_divisor(c, P)]
+    assert plain and len(plain) < len(points)
+    k = plain[0]
+    rk, _ = ig._residue_radii(points[k], P)
+    a = points[k][0] + rk[0] / 0.25
+    g = lambda t: f(t) * rk[0] / (t[..., 0] - a)
+    h = lambda t: np.array(np.broadcast_arrays(f(t), g(t)))
+    alone = []
+    for c in points:
+        shapes = []
+        alone.append((ig.multi_residue(lambda t: shapes.append(t.shape[:-1]) or h(t), c, params=P), shapes))
+    assert [M for M, _ in alone[k][1]] == [16, 32]
+    shapes = []
+    got = ig.multi_residue(lambda t: shapes.append(t.shape[:-1]) or h(t), np.transpose(points), params=P)
+    assert got.shape == (2, len(points))
+    groups = {}
+    for _, own in alone:
+        for M, _ in own:
+            groups[M] = groups.get(M, 0) + 1
+    assert shapes == [(n, M, M) if n > 1 else (M, M) for M, n in sorted(groups.items())]
+    for i, (c, (want, own)) in enumerate(zip(points, alone)):
+        M = own[-1][0]
+        radii, _ = ig._residue_radii(c, P)
+        assert np.all(abs(got[:, i] - want) < 1e-14 * _mean_abs_summand(h, c, radii, M)), i
+
+
+def test_stacked_cap_names_the_point():
+    # three x-points of the (2, 1) draw in one call; the middle one has an
+    # extra pole at r / 0.9 from its circle, so it never settles by 64 nodes:
+    # the error names that centre, its node count, estimate and mean |summand|
+    P = sample_params(9, 2, 1, regime="jackson_overlap")
+    points = [wf.special_point((1, 0), P, "x", (s,)) for s in range(3)]
+    (r,), _ = ig._residue_radii(points[1], P)
+    a = points[1][0] + r / 0.9
+    with pytest.raises(ConvergenceError) as err:
+        ig.multi_residue(lambda t: 1.0 / (t[..., 0] - a), np.transpose(points), params=P)
+    msg = str(err.value)
+    assert f"residue at {(complex(points[1][0]),)} not settled at 64 nodes per circle" in msg
+    assert "estimate" in msg and "mean |summand|" in msg
+    assert all(str(complex(c[0])) not in msg for c in (points[0], points[2]))
+
+
+def test_jackson_sum_makes_one_call_per_shell_and_index(monkeypatch):
+    # the seed-0 (2, 2) x-sum of suite_jackson: one multi_residue call per
+    # shell and index vector m, stacking the shell + 1 p-shifts of x<m>
+    P = sample_params(6 + 2 + 2, 2, 2, regime="jackson_overlap")
+    IV = combin.index_vectors(2, 2)
+    calls = []
+    multi_residue = ig.multi_residue
+    record = lambda f, c, params: calls.append(np.shape(c)) or multi_residue(f, c, params)
+    monkeypatch.setattr(ig, "multi_residue", record)
+    Wf = lambda t: wf.W_ell(IV[0], t, P, "subset")
+    _, report = ig.jackson_sum(Wf, lambda t: wf.w_trig(IV[-1], t, P, "subset"), P)
+    shells = report["shells"]
+    assert len(calls) == shells * len(IV)
+    assert sum(R for _, R in calls) == sum((shell + 1) * len(IV) for shell in range(shells))
+    assert calls == [(2, shell + 1) for shell in range(shells) for _ in IV]
 
 
 def test_jackson_sum_with_stacked_w_is_each_sum_alone():
