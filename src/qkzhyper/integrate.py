@@ -222,28 +222,26 @@ def _residue_radii(center, params):
 
 def _circle_sums(f, center, radii, M):
     """Sums of the summand f(t) prod_k (t_k - c_k) over the offset M-node
-    circles: over all M^ell nodes, over the (M/2)^ell nodes with even index
-    on every axis (an offset M/2-node rule, selected by global node index so
-    that the slabs of _grid_slabs do not shift it), and of its modulus;
-    each over the grid axes only, one sum per entry of f's value axes.  A
-    stacked centre (ell, R) with radii (ell, R) sums R circles at once, on
-    one batched grid, with the batch axis last in each sum."""
-    center = np.asarray(center)
-    ell, batch = len(center), center.shape[1:]
+    circles of a stacked centre (ell, R) with radii (ell, R), on one
+    batched grid: over all M^ell nodes, over the (M/2)^ell nodes with even
+    index on every axis (an offset M/2-node rule, selected by global node
+    index so that the slabs of _grid_slabs do not shift it), and of its
+    modulus; each over the grid axes only, one sum per entry of f's value
+    axes and point, with the batch axis last."""
+    ell, R = center.shape
     grid_axes = tuple(range(-ell, 0))
-    sums = [0.0 + 0j, 0.0 + 0j, 0.0]
+    sums = None
     for slices, t in _grid_slabs(center, radii, M):
-        at = (slices[0],) + (None,) * ell if batch else ()
+        at = (slices[0],) + (None,) * ell
         vals = np.asarray(f(t), dtype=np.complex128)
         for k in range(ell):
             vals = vals * (t[..., k] - center[k][at])
         half = vals[(..., *(slice(s.start % 2, None, 2) for s in slices[-ell:]))]
         parts = (vals.sum(axis=grid_axes), half.sum(axis=grid_axes), np.abs(vals).sum(axis=grid_axes))
-        if not batch:
-            sums = [acc + v for acc, v in zip(sums, parts)]
-            continue
-        if np.ndim(sums[0]) == 0:
-            sums = [np.zeros(v.shape[:-1] + batch, dtype=v.dtype) for v in parts]
+        if sums is None:
+            if math.prod(t.shape[:-1]) == R * M**ell:
+                return parts  # one chunk holds the whole grid
+            sums = [np.zeros(v.shape[:-1] + (R,), dtype=v.dtype) for v in parts]
         for acc, v in zip(sums, parts):
             acc[..., slices[0]] += v
     return tuple(sums)
@@ -266,25 +264,36 @@ def multi_residue(f, center, params=None, plan=None):
 
     A stacked centre, shape (ell, R) with center[k] coordinate k of every
     point, gives the R residues in one call, with the batch axis last after
-    any value axes.  Each point keeps its own radii, rho, starting M and
-    acceptance test; the points that share an M are evaluated on one
-    batched grid (one call of f per chunk), and a point that fails its test
-    goes on without the points that passed, at the doubled M.  A point alone
-    at its M is evaluated on an unbatched grid, as an unstacked centre is.
-    The kernels take one truncation per block over the whole batch.  Past
-    the cap the error names the point that did not settle.
+    any value axes; an unstacked centre (ell,) is a stack of one, and comes
+    back as a scalar or an array of the value axes.  Each point keeps its own
+    radii, rho, starting M and acceptance test; the points that share an M
+    are evaluated on one batched grid (one call of f per chunk), and a point
+    that fails its test goes on without the points that passed, at the
+    doubled M.  The kernels take one truncation per block over the whole
+    batch.  Past the cap the error names the point that did not settle.
     """
     center = np.asarray(center, dtype=np.complex128)
     ell = len(center)
     if ell == 0:
         return _as_value(np.asarray(f(np.zeros((1, 0), dtype=np.complex128)), dtype=np.complex128)[..., 0])
-    if plan is not None:
-        return _as_value(_circle_sums(f, center, plan.radii, plan.points)[0] / plan.points**ell)
-    if params is None:
+    if plan is None and params is None:
         raise ValueError("need params or an explicit plan")
     stacked = center.ndim == 2
-    points = list(center.T) if stacked else [center]
-    sized = [_residue_radii(c, params) for c in points]
+    if not stacked:
+        center = center[:, None]
+    if plan is not None:
+        out = _circle_sums(f, center, np.reshape(plan.radii, center.shape), plan.points)[0] / plan.points**ell
+    else:
+        out = _sized_residues(f, center, params)
+    return out if stacked else _as_value(out[..., 0])
+
+
+def _sized_residues(f, center, params):
+    """The residues of multi_residue at a stacked centre (ell, R), each
+    point on its own radii and node count."""
+    ell, R = center.shape
+    sized = [_residue_radii(c, params) for c in center.T.tolist()]
+    radii = np.array([r for r, _ in sized]).T
     pending, out = {}, None
     for i, (_, rho) in enumerate(sized):
         M = 2
@@ -294,18 +303,15 @@ def multi_residue(f, center, params=None, plan=None):
     while pending:
         M = min(pending)
         idx = pending.pop(M)
-        if len(idx) == 1:  # one point: an unbatched grid, then a batch axis of one
-            sums = [v[..., None] for v in _circle_sums(f, points[idx[0]], sized[idx[0]][0], M)]
-        else:
-            sums = _circle_sums(f, center[:, idx], np.transpose([sized[i][0] for i in idx]), M)
+        whole = len(idx) == R
+        sums = _circle_sums(f, center if whole else center[:, idx], radii if whole else radii[:, idx], M)
         value, half, mean = sums[0] / M**ell, sums[1] / (M // 2) ** ell, sums[2] / M**ell
         excess = abs(value - half) - _RESIDUE_TOL * mean
         settled = (excess <= 0).reshape(-1, len(idx)).all(axis=0)
-        if len(idx) == len(points) and settled.all():
-            out = value  # every point settled in this one group
-            break
+        if whole and settled.all():
+            return value  # every point settled in this one group
         if out is None:
-            out = np.empty(value.shape[:-1] + (len(points),), dtype=np.complex128)
+            out = np.empty(value.shape[:-1] + (R,), dtype=np.complex128)
         out[..., np.array(idx)[settled]] = value[..., settled]
         for j in np.flatnonzero(~settled):
             if M < ResiduePlan.points:
@@ -314,10 +320,10 @@ def multi_residue(f, center, params=None, plan=None):
             k = np.argmax(excess[..., j])
             est, avg = np.ravel(excess[..., j] + _RESIDUE_TOL * mean[..., j])[k], np.ravel(mean[..., j])[k]
             raise ConvergenceError(
-                f"residue at {tuple(map(complex, points[idx[j]]))} not settled at {M} nodes per circle: "
+                f"residue at {tuple(map(complex, center[:, idx[j]]))} not settled at {M} nodes per circle: "
                 f"estimate {est:.3g}, mean |summand| {avg:.3g}"
             )
-    return out if stacked else _as_value(out[..., 0])
+    return out
 
 
 def _as_value(value):
@@ -337,8 +343,7 @@ def _shell_residues(f, params, side, shell):
     shifts = [s if side == "x" else tuple(-v for v in s) for s in combin.index_vectors(ell, shell)]
     for mvec in combin.index_vectors(params.n, ell):
         points = np.array([weightfn.special_point(mvec, params, side, sh) for sh in shifts])
-        res = multi_residue(f, points.T, params=params)
-        yield from (res.tolist() if res.ndim == 1 else (res[..., j] for j in range(len(points))))
+        yield from np.moveaxis(multi_residue(f, points.T, params=params), -1, 0)
 
 
 def special_residue_sum(f, params, side):
@@ -376,7 +381,7 @@ def _shell_sum(shell_terms, cutoff, tol):
         sizes.append(abs(acc))
         bound = tol * (abs(total) + 1e-300)  # 1e-300 keeps a zero total's bound positive
         below = shell >= 3 and (sizes[-1] < bound) & (sizes[-2] < bound)
-        if below.all() if isinstance(below, np.ndarray) else below:  # a scalar series stays on Python floats
+        if np.all(below):
             break
     else:
         rel = np.max(sizes[-1] / bound) * tol
@@ -389,6 +394,12 @@ def _shell_sum(shell_terms, cutoff, tol):
         rel = np.max(tail / bound) * tol
         raise ConvergenceError(f"lattice sum tail {rel:.3g} of |total| after {len(sizes)} shells above {tol:.3g}")
     return total, {"shells": len(sizes), "last_shell": last, "tail_estimate": tail[()], "ratio": ratio[()]}
+
+
+def _product_field(a, b, c):
+    """The field a(t) b(t) c(t), each factor a complex array, multiplied left to right."""
+    as_array = lambda g, t: np.asarray(g(t), dtype=np.complex128)
+    return lambda t: as_array(a, t) * as_array(b, t) * as_array(c, t)
 
 
 def _phase_tilde(params):
@@ -424,13 +435,7 @@ def jackson_sum(Wf, wf, params, side="x", cutoff=60):
         lim = max(1.0, abs(params.eta) ** (ell - 1))
         if ratio <= lim:
             raise ConvergenceError(f"y-sum regime violated: {ratio:.3g} <= {lim:.3g}")
-    phit = _phase_tilde(params)
-
-    def integrand(t):
-        return phit(t) * np.asarray(wf(t), dtype=np.complex128) * np.asarray(
-            Wf(t), dtype=np.complex128
-        )
-
+    integrand = _product_field(_phase_tilde(params), wf, Wf)
     sign = 1.0 if side == "x" else (-1.0) ** ell
     total, report = _shell_sum(lambda shell: _shell_residues(integrand, params, side, shell), cutoff, _JACKSON_TOL)
     report["tail_estimate"] *= abs(TWO_PI_I**ell * factorial(ell))
@@ -896,12 +901,4 @@ def _omega(kind, params, const):
 def shapovalov(flavor, f1, f2, params):
     """Shapovalov pairing: sum over m of Res(Omega f1 f2) at x<m, per entry of value axes."""
     om = omega_elliptic(params) if flavor == "elliptic" else omega_trig(params)
-
-    def integrand(t):
-        return (
-            om(t)
-            * np.asarray(f1(t), dtype=np.complex128)
-            * np.asarray(f2(t), dtype=np.complex128)
-        )
-
-    return special_residue_sum(integrand, params, "x")
+    return special_residue_sum(_product_field(om, f1, f2), params, "x")

@@ -268,7 +268,7 @@ def test_qkz_suite_doubles_one_circle(monkeypatch):
     # function, not an undersized circle
     nodes = []
     circle_sums = ig._circle_sums
-    record = lambda M, c: nodes.extend((M, tuple(pt)) for pt in np.reshape(c, (len(c), -1)).T)  # per point of a stack
+    record = lambda M, c: nodes.extend((M, tuple(pt)) for pt in c.T)  # per point of a stack
     monkeypatch.setattr(ig, "_circle_sums", lambda f, c, r, M: record(M, c) or circle_sums(f, c, r, M))
     recs = suites.run_suite("qkz", seed=4)["checks"]
     assert all(r["status"] == "pass" for r in recs)
@@ -323,7 +323,7 @@ def _jackson_integrand(P):
 
 
 def _mean_abs_summand(f, c, radii, M):
-    return ig._circle_sums(f, c, radii, M)[2] / M ** len(c)
+    return ig._circle_sums(f, np.reshape(c, (-1, 1)), np.reshape(radii, (-1, 1)), M)[2][..., 0] / M ** len(c)
 
 
 def test_residue_nodes_sized_by_estimate():
@@ -342,7 +342,7 @@ def test_residue_nodes_sized_by_estimate():
                     shapes = []
                     got = ig.multi_residue(lambda t: shapes.append(t.shape[:-1]) or f(t), c, params=P)
                     M = 32 if _on_pair_divisor(c, P) else 16
-                    assert shapes == [(M, M)], (side, mvec, svec)
+                    assert shapes == [(1, M, M)], (side, mvec, svec)
                     counts[M] = counts.get(M, 0) + 1
                     radii, _ = ig._residue_radii(c, P)
                     want = ig.multi_residue(f, c, plan=ig.ResiduePlan(tuple(c), radii, 64))
@@ -361,7 +361,7 @@ def test_residue_nodes_double_and_cap():
     for ratio, want_nodes in ((0.02, [16]), (0.25, [16, 32]), (0.5, [16, 32, 64])):
         a = c[0] + r / ratio
         nodes = []
-        f = lambda t: nodes.append(t.shape[0]) or 1.0 / ((t[..., 0] - c[0]) * (t[..., 0] - a))
+        f = lambda t: nodes.append(t.shape[-2]) or 1.0 / ((t[..., 0] - c[0]) * (t[..., 0] - a))
         assert abs(ig.multi_residue(f, c, params=P) - 1.0 / (c[0] - a)) < 1e-15 / abs(c[0] - a)
         assert nodes == want_nodes, ratio
     # at rho = 0.9 the estimate never settles by 64 nodes: no value is returned
@@ -384,11 +384,12 @@ def test_residue_estimate_independent_of_chunks(monkeypatch):
             out = out / ((t[..., k] - c[k]) * (t[..., k] - a[k]))
         return out
 
-    whole = ig._circle_sums(f, c, radii, M)
+    stack = (np.reshape(c, (3, 1)), np.reshape(radii, (3, 1)))  # a stack of one point
+    whole = ig._circle_sums(f, *stack, M)
     calls = []
     monkeypatch.setattr(ig, "_CHUNK", 3 * M)
-    sliced = ig._circle_sums(lambda t: calls.append(t.shape[:-1]) or f(t), c, radii, M)
-    assert len(calls) == M * 3 and (1, 3, M) in calls
+    sliced = ig._circle_sums(lambda t: calls.append(t.shape[:-1]) or f(t), *stack, M)
+    assert len(calls) == M * 3 and (1, 1, 3, M) in calls
     for x, y in zip(whole, sliced):
         assert abs(x - y) < 1e-14 * abs(whole[2])
     j = np.arange(0, M, 2)
@@ -427,10 +428,10 @@ def test_stacked_residue_is_each_entry_alone():
         alone = []
         for h in (f, g):
             shapes = []
-            alone.append((ig.multi_residue(lambda t: shapes.append(t.shape[0]) or h(t), c, params=P), shapes[-1]))
+            alone.append((ig.multi_residue(lambda t: shapes.append(t.shape[-2]) or h(t), c, params=P), shapes[-1]))
         assert alone[0][1] < alone[1][1] == 64
         shapes = []
-        stacked = lambda t: shapes.append(t.shape[0]) or np.array(np.broadcast_arrays(f(t), g(t)))
+        stacked = lambda t: shapes.append(t.shape[-2]) or np.array(np.broadcast_arrays(f(t), g(t)))
         got = ig.multi_residue(stacked, c, params=P)
         assert got.shape == (2,) and shapes[-1] == 64
         for h, v, (want, M) in zip((f, g), got, alone):
@@ -458,19 +459,39 @@ def test_stacked_centres_are_each_point_alone():
     for c in points:
         shapes = []
         alone.append((ig.multi_residue(lambda t: shapes.append(t.shape[:-1]) or h(t), c, params=P), shapes))
-    assert [M for M, _ in alone[k][1]] == [16, 32]
+    assert [M for _, M, _ in alone[k][1]] == [16, 32]
     shapes = []
     got = ig.multi_residue(lambda t: shapes.append(t.shape[:-1]) or h(t), np.transpose(points), params=P)
     assert got.shape == (2, len(points))
     groups = {}
     for _, own in alone:
-        for M, _ in own:
+        for _, M, _ in own:
             groups[M] = groups.get(M, 0) + 1
-    assert shapes == [(n, M, M) if n > 1 else (M, M) for M, n in sorted(groups.items())]
+    assert shapes == [(n, M, M) for M, n in sorted(groups.items())]
     for i, (c, (want, own)) in enumerate(zip(points, alone)):
-        M = own[-1][0]
+        M = own[-1][1]
         radii, _ = ig._residue_radii(c, P)
         assert np.all(abs(got[:, i] - want) < 1e-14 * _mean_abs_summand(h, c, radii, M)), i
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ConvergenceError,
+    reason="a settled entry is carried to far shells, fails its own test near underflow and aborts the row",
+)
+def test_value_axes_entries_do_not_abort_each_other():
+    # the x-sums of W_(0,2) with w_(2,0) and with w_(2,0) t_1^3 settle alone
+    # in 23 and 22 shells; as value axes of one field they must give the same
+    # row, not abort at a far residue (centre modulus about 4e-67)
+    P = sample_params(10, 2, 2, regime="jackson_overlap")
+    W = lambda t: wf.W_ell((0, 2), t, P, "subset")
+    w = lambda t: wf.w_trig((2, 0), t, P, "subset")
+    w3 = lambda t: w(t) * t[..., 0] ** 3
+    alone = [ig.jackson_sum(W, h, P) for h in (w, w3)]
+    assert [report["shells"] for _, report in alone] == [23, 22]
+    got, _ = ig.jackson_sum(W, lambda t: np.array(np.broadcast_arrays(w(t), w3(t))), P)
+    for v, (want, _) in zip(got, alone):
+        assert abs(v - want) <= 1e-13 * abs(want)
 
 
 def test_stacked_cap_names_the_point():
