@@ -34,19 +34,27 @@ def params_to_dict(params):
     }
 
 
+def _pair(v):
+    re, im = v
+    return complex(re, im)
+
+
 def params_from_file(path):
+    """The ParameterSet of a JSON file as `sample --report` writes it; a
+    missing or malformed field raises ValueError naming it."""
     with open(path) as fh:
         d = json.load(fh)
-    pair = lambda v: complex(v[0], v[1])
-    return ParameterSet(
-        p=pair(d["p"]),
-        eta=pair(d["eta"]),
-        kappa=pair(d["kappa"]),
-        xi=tuple(pair(v) for v in d["xi"]),
-        z=tuple(pair(v) for v in d["z"]),
-        n=int(d["n"]),
-        ell=int(d["ell"]),
-    )
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    pairs = lambda v: tuple(map(_pair, v))
+    kw = {}
+    for key, read in {"p": _pair, "eta": _pair, "kappa": _pair, "xi": pairs, "z": pairs}.items():
+        try:
+            kw[key] = read(d[key])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"bad or missing field {key!r}: {d.get(key)!r}") from None
+    # n and ell go in as read: ParameterSet rejects a non-integer or out of range
+    return ParameterSet(**kw, n=d.get("n"), ell=d.get("ell"))
 
 
 def _json_ready(rec):
@@ -72,7 +80,7 @@ def cmd_verify(args):
         try:
             prm = params_from_file(args.params)
             params_echo = params_to_dict(prm)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"bad parameter file: {exc}", file=sys.stderr)
             return 2
     seed = args.seed
@@ -178,6 +186,9 @@ def cmd_sample(args):
     except QkzError as exc:
         print(f"structured failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     doc = params_to_dict(prm)
     doc["margins"] = {k: float(v) for k, v in prm.margins().items()}
     _emit(doc, args.report)
@@ -231,8 +242,8 @@ def build_parser():
 
     s = sub.add_parser("sample", help="print an admissible parameter draw")
     s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--n", type=int, default=2)
-    s.add_argument("--ell", type=int, default=1)
+    s.add_argument("--n", type=_positive, default=2)
+    s.add_argument("--ell", type=_non_negative, default=1)
     s.add_argument("--regime", default="convergent")
     s.add_argument("--report")
     s.set_defaults(fn=cmd_sample)

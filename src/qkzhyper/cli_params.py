@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, SamplingError
-from .numkernel import ParameterSet, _nearest_p_power
+from .numkernel import ParameterSet, _nearest_p_power, check_sizes
 
 BAND = 0.75  # pole moduli must stay outside [BAND, 1/BAND] around the torus
 MARGIN = 0.05  # genericity margins of a draw
@@ -66,7 +66,14 @@ def sample_params(seed, n, ell, regime="convergent"):
                        together with the straight torus
       asymptotic       small kappa for the zone checks
       small_xi         |xi| < |p| (annulus argument for the derivative tests)
+
+    An unknown regime, or n and ell that no ParameterSet takes, raise
+    ValueError before any draw.
     """
+    check_sizes(n, ell)
+    regimes = ("convergent", "solution", "asymptotic", "jackson_overlap", "small_xi")
+    if regime not in regimes:
+        raise ValueError(f"unknown regime {regime!r}; choose from {regimes}")
     rng = np.random.default_rng(seed)
     for _ in range(ATTEMPTS):
         if regime in ("convergent", "solution", "asymptotic"):
@@ -78,12 +85,10 @@ def sample_params(seed, n, ell, regime="convergent"):
             xmod = [rng.uniform(0.42, 0.5) for _ in range(n)]
             pmax = emod ** (2 - 2 * ell) * float(np.prod(xmod)) ** 2
             pmod = 0.05 * pmax
-        elif regime == "small_xi":
+        else:  # small_xi
             pmod = rng.uniform(0.25, 0.35)
             emod = rng.uniform(1.9, 2.6)
             xmod = [rng.uniform(0.3, 0.45) * pmod for _ in range(n)]
-        else:
-            raise ValueError(f"unknown regime {regime!r}")
         p = pmod * np.exp(1j * rng.uniform(0, 2 * np.pi))
         eta = emod * np.exp(1j * rng.uniform(-0.35, 0.35))
         xi = tuple(xm * np.exp(1j * rng.uniform(0, 2 * np.pi)) for xm in xmod)

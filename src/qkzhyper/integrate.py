@@ -33,7 +33,6 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ResiduePlan:
-    center: tuple
     radii: tuple
     points: int = 64
 

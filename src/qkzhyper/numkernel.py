@@ -11,6 +11,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -434,6 +435,12 @@ def p_power_bracket(u, x, p):
 # parameters of the local system
 
 
+def check_sizes(n, ell):
+    """Raise ValueError unless n >= 1 and ell >= 0 are integers."""
+    if not (isinstance(n, numbers.Integral) and isinstance(ell, numbers.Integral) and n >= 1 and ell >= 0):
+        raise ValueError(f"need integers n >= 1 and ell >= 0, got n={n!r}, ell={ell!r}")
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """Parameters (p, eta, kappa, xi_1..xi_n, z_1..z_n) of the local system
@@ -451,6 +458,7 @@ class ParameterSet:
     ell: int
 
     def __post_init__(self):
+        check_sizes(self.n, self.ell)
         if len(self.xi) != self.n or len(self.z) != self.n:
             raise ValueError("xi and z must have length n")
         if abs(self.p) >= 1.0:

@@ -1,9 +1,9 @@
 """Truncated representation theory.
 
-Uq(sl2) Verma tensor products with E, F, q^H and the z-twisted operators,
-the trigonometric R-matrix built two independent ways, the qKZ operators,
-the elliptic evaluation modules with their T_ij action and coproduct, and
-residual checkers for both Yang-Baxter equations.
+Uq(sl2) Verma tensor products with E, F and q^H, the trigonometric
+R-matrix built two independent ways, the qKZ operators, the elliptic
+evaluation modules with their T_ij action and coproduct, and residual
+checkers for both Yang-Baxter equations.
 
 All operators preserve total weight; a matrix "block" always means the
 restriction to the span of monomials F^{k_1} v_1 x ... x F^{k_n} v_n with
@@ -41,15 +41,13 @@ def _weight_factor(Lams, ks, q, rng, sign):
     return out
 
 
-def _ladder_op(Lams, ell, q, z, step):
+def _ladder_op(Lams, ell, q, step):
     """Matrix of Delta(E) (step -1) or Delta(F) (step +1) from block ell to
     block ell + step on the Verma modules of highest weights Lams:
-    Delta(X) = sum q^H x..x X_m x q^-H x.., and with z given the twisted
-    X_z = sum q^-H x..x z_m X x q^H x.."""
+    Delta(X) = sum q^H x..x X_m x q^-H x.."""
     n = len(Lams)
     src = combin.index_vectors(n, ell)
     idx = {v: i for i, v in enumerate(combin.index_vectors(n, ell + step))}
-    sign = +1 if z is None else -1
     M = np.zeros((len(idx), len(src)), dtype=np.complex128)
     for j, ks in enumerate(src):
         for m in range(n):
@@ -58,22 +56,20 @@ def _ladder_op(Lams, ell, q, z, step):
             out = list(ks)
             out[m] += step
             coeff = e_coeff(ks[m], Lams[m], q) if step < 0 else 1.0 + 0j
-            if z is not None:
-                coeff *= z[m]
-            coeff *= _weight_factor(Lams, ks, q, range(m), sign)
-            coeff *= _weight_factor(Lams, out, q, range(m + 1, n), -sign)
+            coeff *= _weight_factor(Lams, ks, q, range(m), +1)
+            coeff *= _weight_factor(Lams, out, q, range(m + 1, n), -1)
             M[idx[tuple(out)], j] += coeff
     return M
 
 
-def op_E(Lams, ell, q, z=None):
-    """Matrix of E (or E_z when z is given) from block ell to block ell-1."""
-    return _ladder_op(Lams, ell, q, z, -1)
+def op_E(Lams, ell, q):
+    """Matrix of E from block ell to block ell-1."""
+    return _ladder_op(Lams, ell, q, -1)
 
 
-def op_F(Lams, ell, q, z=None):
-    """Matrix of F (or F_z) from block ell to block ell+1."""
-    return _ladder_op(Lams, ell, q, z, +1)
+def op_F(Lams, ell, q):
+    """Matrix of F from block ell to block ell+1."""
+    return _ladder_op(Lams, ell, q, +1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tensor coordinates, transition matrices, hypergeometric qKZ solutions,
-the dynamical elliptic R-matrix built from transitions, hypergeometric maps,
-and asymptotic-zone checks.
+the dynamical elliptic R-matrix built from transitions, and asymptotic-zone
+checks.
 
 Everything here reduces to finite linear algebra: weight-function families
 are expanded in one another by sampling at generic interpolation nodes, and
@@ -243,49 +243,35 @@ def mono_functoriality_residual(l_index, params):
     return np.linalg.norm(lhs - R @ rhs) / max(np.linalg.norm(lhs), 1e-300)
 
 
-def hyper_map(tau, tau_p, params):
-    """Matrix of the hypergeometric map: entry [l, m] = c^tau'_l b_m
-    I(W^tau'_l, w^tau_m), the pairings one x-side Jackson sum with rows W and
-    columns w on value axes.  As a linear map (V^e_tau')_ell -> (V_tau)_ell
-    the transpose acts on coordinates."""
-    idx = combin.index_vectors(params.n, params.ell)
-    Ws = [(lambda t, l=l: weightfn.W_tau(l, t, params, tau_p, "subset")) for l in idx]
-    ws = [(lambda t, mv=mv: weightfn.w_tau(mv, t, params, tau, "subset")) for mv in idx]
-    vals, _ = integrate.jackson_sum(lambda t: _sample(Ws, t)[:, None], lambda t: _sample(ws, t), params, side="x")
-    cW = [weightfn.c_coeff(combin.permute_index(l, tau_p), params.permuted(tau_p)) for l in idx]
-    return np.outer(cW, [weightfn.b_coeff(mv, params) for mv in idx]) * vals
-
-
 # ---------------------------------------------------------------------------
 # asymptotic zone checks
 
 
-def asymptotic_check(l_index, params_at_ratio, ratios=(1e-1, 1e-2, 1e-3), tau=None):
+def asymptotic_check(l_index, params_at_ratio, ratios=(1e-1, 1e-2, 1e-3)):
     """Leading-coefficient and dominance-pattern report in the asymptotic zone.
 
     params_at_ratio(r) must return an admissible ParameterSet whose z-ratios
-    realize |z_tau1 / z_tau2| = r (n = 2 zones).  Reports, per ratio, the
+    realize |z_1 / z_2| = r (n = 2 zones).  Reports, per ratio, the
     relative distance of the leading component of Psi / Y_l from Xi_l and the
     magnitudes of the subleading components split by the dominance pattern.
     """
     report = []
+    l_index = tuple(l_index)
     for r in ratios:
         prm = params_at_ratio(r)
         n, ell = prm.n, prm.ell
-        tt = tuple(tau) if tau is not None else tuple(range(n))
+        tt = tuple(range(n))
         _, _, yval = _global_element(l_index, tt, prm)
         scaled = psi_solution(l_index, tt, prm) / yval
         idx = combin.index_vectors(n, ell)
-        iL = idx.index(tuple(l_index))
-        Xi = weightfn.xi_asym_coeff(l_index, prm, tt)
+        iL = idx.index(l_index)
+        Xi = weightfn.xi_asym_coeff(l_index, prm)
         lead_rel = abs(scaled[iL] - Xi) / abs(Xi)
         sub = {}
         for j, mv in enumerate(idx):
-            if mv == tuple(l_index):
+            if mv == l_index:
                 continue
-            mt = combin.permute_index(mv, tt)
-            lt_ = combin.permute_index(tuple(l_index), tt)
-            dominates = combin.dominance_le(lt_, mt) and mt != lt_
+            dominates = combin.dominance_le(l_index, mv)
             sub[mv] = (abs(scaled[j]) / abs(Xi), "O(1)-allowed" if dominates else "vanishing")
         report.append({"ratio": r, "leading_rel": lead_rel, "Xi": Xi, "subleading": sub})
     return report

@@ -54,20 +54,6 @@ def kappa_lm(l, params, m):
     return out
 
 
-def kappa_lm_tau(l, params, m, tau):
-    """Zone variant: products split by the inverse permutation sigma = tau^-1."""
-    sigma = combin.perm_inverse(tau)
-    out = params.kappa
-    for i in range(params.n):
-        if i == m:
-            continue
-        if sigma[i] < sigma[m]:
-            out *= params.xi[i] * params.eta ** (-l[i])
-        else:
-            out *= params.eta ** l[i] / params.xi[i]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # trigonometric weight functions
 
@@ -283,11 +269,9 @@ def N_coeff(l, params):
     return out
 
 
-def xi_asym_coeff(l, params, tau=None):
-    """Leading asymptotic coefficient Xi^tau_l of the solution basis."""
-    n, ell = params.n, params.ell
-    tau = tuple(tau) if tau is not None else tuple(range(n))
-    sigma = combin.perm_inverse(tau)
+def xi_asym_coeff(l, params):
+    """Leading asymptotic coefficient Xi_l of the solution basis."""
+    ell = params.ell
     p, eta = params.p, params.eta
     xi = params.xi
     out = (2j * math.pi) ** ell * math.factorial(ell)
@@ -296,11 +280,8 @@ def xi_asym_coeff(l, params, tau=None):
     for m, lm in enumerate(l):
         out *= params.q_pow(lm * (1 - lm) / 2.0) * params.q_pow(lm * params.Lambda[m])
         for lo in range(m):
-            if sigma[lo] < sigma[m]:
-                out *= xi[lo] ** lm
-            else:
-                out *= eta ** (l[lo] * lm) * xi[lo] ** (-lm)
-        klm = kappa_lm_tau(l, params, m, tau)
+            out *= xi[lo] ** lm
+        klm = kappa_lm(l, params, m)
         for s in range(lm):
             out *= e_inv * qpoch(eta**-s / klm * xi[m], p)
             out *= qpoch(p * eta**-s * klm * xi[m], p)
@@ -308,27 +289,23 @@ def xi_asym_coeff(l, params, tau=None):
     return out
 
 
-def alpha_multipliers(l, params, tau=None):
-    """Quasi-periodicity multipliers a^tau_{l,m} of the adjusting factors."""
+def alpha_multipliers(l, params):
+    """Quasi-periodicity multipliers a_{l,m} of the adjusting factors."""
     n = params.n
-    tau = tuple(tau) if tau is not None else tuple(range(n))
-    sigma = combin.perm_inverse(tau)
     eta, xi = params.eta, params.xi
     out = []
     for m in range(n):
         a = params.kappa ** l[m]
         for lo in range(n):
-            if lo == m:
-                continue
-            if sigma[lo] < sigma[m]:
+            if lo < m:
                 a *= eta ** (-l[lo] * l[m]) * xi[lo] ** l[m] * xi[m] ** l[lo]
-            else:
+            elif lo > m:
                 a *= eta ** (l[lo] * l[m]) * xi[lo] ** (-l[m]) * xi[m] ** (-l[lo])
         out.append(a)
     return tuple(out)
 
 
-def adjusting_factor(l, params, tau=None):
+def adjusting_factor(l, params):
     """Adjusting factor Y_l(z) = prod_m theta(c_m z_m / a_{l,m}) / theta(c_m z_m)
     with anchors c_m = 1 + 0.1 (m + 1).
 
@@ -337,7 +314,7 @@ def adjusting_factor(l, params, tau=None):
     """
     n = params.n
     anchors = tuple(1.0 + 0.1 * (m + 1) for m in range(n))
-    alphas = alpha_multipliers(l, params, tau)
+    alphas = alpha_multipliers(l, params)
     p = params.p
 
     def Y(z):

@@ -178,6 +178,40 @@ def test_verify_bad_params_file(tmp_path):
     assert cli.main(["verify", "kernel", "--params", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: dict(d, xi=5), "'xi'"),
+        (lambda d: [d["p"], d["eta"]], "list"),
+        (lambda d: dict(d, ell=1.5), "ell=1.5"),
+        (lambda d: dict(d, n=0, xi=[], z=[]), "n=0"),
+    ],
+    ids=["xi-not-a-list", "json-list", "ell-not-an-integer", "n-zero"],
+)
+def test_verify_malformed_params_is_a_parameter_error(edit, named, tmp_path, capsys):
+    # a malformed or out-of-range file exits 2 and names the bad value; none
+    # may be truncated into a run or escape as an exception (exit 1)
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(edit(cli.params_to_dict(sample_params(1, 2, 1)))))
+    assert cli.main(["verify", "kernel", "--params", str(f)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_sample_unknown_regime_is_a_configuration_error(capsys):
+    assert cli.main(["sample", "--regime", "bogus"]) == 2
+    assert "'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, ell, regime", [(0, 1, "convergent"), (2, -1, "convergent"), (2, 1, "bogus")])
+def test_sample_params_rejects_before_any_draw(n, ell, regime, monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("sample_params drew before checking its arguments")
+
+    monkeypatch.setattr(cli_params.np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError):
+        sample_params(0, n, ell, regime=regime)
+
+
 def test_verify_params_and_seed_conflict(tmp_path):
     f = tmp_path / "p.json"
     f.write_text(json.dumps(cli.params_to_dict(sample_params(1, 2, 1))))
@@ -222,6 +256,8 @@ def test_verify_removed_flags_rejected(flag, capsys):
         (["verify", "pairing-det", "--grid", "0"], "--grid"),
         (["table", "qbeta", "--rows", "0"], "--rows"),
         (["verify", "jackson", "--cutoff", "-1"], "--cutoff"),
+        (["sample", "--n", "0"], "--n"),
+        (["sample", "--ell", "-1"], "--ell"),
     ],
 )
 def test_out_of_range_option_is_a_configuration_error(argv, flag, capsys):

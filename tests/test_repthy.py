@@ -37,17 +37,6 @@ def test_E_coproduct_hand_oracle():
     assert abs(E[0, j2] - want2) / abs(want2) < 1e-14
 
 
-def test_Ez_Fz_oracle():
-    z = (0.8 + 0.3j, 1.4 - 0.2j)
-    Ez = rt.op_E(LAMS, 1, Q, z=z)
-    basis = combin.index_vectors(2, 1)
-    want = z[0] * rt.e_coeff(1, L1, Q) * rt.q_pow(Q, L2)
-    assert abs(Ez[0, basis.index((1, 0))] - want) / abs(want) < 1e-14
-    Fz = rt.op_F(LAMS, 0, Q, z=z)
-    want = z[1] * rt.q_pow(Q, -L1)
-    assert abs(Fz[basis.index((0, 1)), 0] - want) / abs(want) < 1e-14
-
-
 def test_R_weight0_identity():
     R0 = rt.trig_R_block(L1, L2, X, Q, 0)
     assert R0.shape == (1, 1) and abs(R0[0, 0] - 1) < 1e-14

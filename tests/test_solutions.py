@@ -142,28 +142,6 @@ def test_mono_functoriality():
     assert so.mono_functoriality_residual((1, 0), P) < 1e-7
 
 
-def test_hyper_map_and_Imm1():
-    P = sample_params(25, 2, 1, regime="solution")
-    Xi = so.hyper_map((0, 1), (0, 1), P)
-    assert np.linalg.cond(Xi) < 1e8  # nondegenerate
-    Xs = so.hyper_map((1, 0), (0, 1), P)
-    R12 = rt.trig_R_block(P.Lambda[0], P.Lambda[1], P.z[0] / P.z[1], P.q, P.ell)
-    lhs = Xs.T
-    rhs = R12 @ Xi.T
-    assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-7
-
-
-def test_hyper_map_n1_closed():
-    P = sample_params(27, 1, 1, regime="solution")
-    X = so.hyper_map((0,), (0,), P)
-    c = wf.c_coeff((1,), P)
-    b = wf.b_coeff((1,), P)
-    Wf = lambda t: wf.W_ell((1,), t, P, "subset")
-    wfn = lambda t: wf.w_trig((1,), t, P, "subset")
-    I, _ = ig.jackson_sum(Wf, wfn, P, side="x")
-    assert abs(X[0, 0] - c * b * I) / abs(X[0, 0]) < 1e-10
-
-
 def test_detM_numeric_vs_closed():
     for n, ell in ((2, 1), (2, 2), (3, 1)):
         P = sample_params(31 + 10 * n + ell, n, ell)
