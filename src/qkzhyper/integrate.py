@@ -61,15 +61,16 @@ def torus_integral(f, ell, spec=QuadratureSpec(), measure="dt_over_t"):
 
 
 def _grid_slabs(centers, radii, M):
-    """The product grid t_a = c_a + r_a exp(2 pi i (j + (a + 1)/(ell + 2)) / M),
-    j < M, as (slices, ProductGrid) chunks of at most _CHUNK nodes (bounded
+    """The product grid t_a = c_a + r_a exp(2 pi i (j + (a + 1)/(ell + 2)) / M_a),
+    j < M_a, as (slices, ProductGrid) chunks of at most _CHUNK nodes (bounded
     memory) in row-major node order; slices[a] is the range of global node
-    indices j that the chunk holds on axis a.
+    indices j that the chunk holds on axis a.  M is one node count for every
+    axis, or a tuple (M_0, ..., M_(ell-1)) of one per axis.
 
     Stacked centres and radii, (ell, R) arrays with column r one point, give
-    the batch of those R grids: node rows (R, M), a leading batch axis in
+    the batch of those R grids: node rows (R, M_a), a leading batch axis in
     t.shape[:-1], and slices[0] the range of points the chunk holds, ahead
-    of the ell node ranges.  The R M^ell nodes are chunked as one array.
+    of the ell node ranges.  The R prod(M_a) nodes are chunked as one array.
 
     A chunk is a slab along the first axis with the other axes whole; when
     one row of that axis alone exceeds _CHUNK, the leading axes are fixed one
@@ -78,18 +79,19 @@ def _grid_slabs(centers, radii, M):
 
     The per-axis phase stagger keeps node ratios off the p/eta lattice and the
     diagonals t_a = t_b; an offset uniform grid integrates circles exactly.
-    When every centre is 0 and every radius equal, the chunks carry their
-    circulant description, so a pair ratio is M values and a gather.
-    Integrands may return values of any shape that broadcasts to the grid, so
-    callers sum np.broadcast_to(vals, t.shape[:-1])."""
+    When every centre is 0 and every radius and node count equal, the chunks
+    carry their circulant description, so a pair ratio is M values and a
+    gather.  Integrands may return values of any shape that broadcasts to
+    the grid, so callers sum np.broadcast_to(vals, t.shape[:-1])."""
     ell = len(radii)
+    Ms = (M,) * ell if np.ndim(M) == 0 else tuple(M)
     shifts = [(a + 1.0) / (ell + 2.0) for a in range(ell)]
     batch = np.shape(centers[0])
     if batch:  # stacked: a column of centres and radii per axis against its node row
         centers, radii = np.asarray(centers)[..., None], np.asarray(radii)[..., None]
-    nodes = [c + r * unit_roots(M, d) for c, r, d in zip(centers, radii, shifts)]
-    dims = batch + (M,) * ell
-    torus = not batch and all(c == 0 for c in centers) and len(set(radii)) == 1
+    nodes = [c + r * unit_roots(m, d) for c, r, m, d in zip(centers, radii, Ms, shifts)]
+    dims = batch + Ms
+    torus = not batch and all(c == 0 for c in centers) and len(set(radii)) == 1 and len(set(Ms)) == 1
     whole = len(dims) - 1
     while math.prod(dims[len(dims) - whole :]) > _CHUNK:
         whole -= 1
@@ -100,7 +102,7 @@ def _grid_slabs(centers, radii, M):
         for start in range(0, dims[cut], step):
             slices = head + [slice(start, min(start + step, dims[cut]))] + rest
             grid = slices[len(batch) :]
-            circulant = (M, [np.arange(M)[s] for s in grid], shifts) if torus else None
+            circulant = (Ms[0], [np.arange(Ms[0])[s] for s in grid], shifts) if torus else None
             yield slices, ProductGrid([x[(*slices[: len(batch)], s)] for x, s in zip(nodes, grid)], circulant)
 
 
@@ -178,8 +180,9 @@ def _pole_families(params):
 
 def _residue_radii(center, params):
     """(radii, rho): per-coordinate circle radii for the nested residue at
-    `center`, and rho, the largest ratio of a circle's radius to the nearest
-    singularity it must exclude (the trapezoidal rule converges like rho^M).
+    `center`, and per coordinate rho_k, the ratio of circle k's radius to
+    the nearest singularity it must exclude (the trapezoidal rule on that
+    circle converges like rho_k^M_k).
 
     Base radius is _SHRINK times the distance to the nearest other
     singularity: the origin, the member of every point family v p^Z nearest
@@ -191,12 +194,15 @@ def _residue_radii(center, params):
     (larger k; extracted earlier per the nested convention) is forced to at
     most 0.2 times the divisor's displacement |c_k / c_j| r_j under the outer
     circle, so the extraction keeps picking the constant divisor only.  A
-    plain axis has rho = _SHRINK; a divisor axis has r_k / (|c_k / c_j| r_j)
-    <= 0.2, which also bounds what the outer circle j sees inside its own.
+    plain axis has rho_k = _SHRINK; the inner axis k of a divisor has
+    rho_k = r_k / (|c_k / c_j| r_j) <= 0.2, the largest over its divisors.
+    The outer axis j keeps its own rho_j: the divisor it sees inside its
+    circle, within 0.2 r_j of c_j, is left to the acceptance test of
+    multi_residue, which halves every axis.
     """
     origin, axis, pair = _pole_families(params)
     p, c = complex(params.p), [complex(v) for v in center]
-    radii, rho = [], _SHRINK
+    radii, rho = [], []
     for k, ck in enumerate(c):
         dmin, own, through = abs(ck) if origin else math.inf, 0, set()
         # (x, scale, families, j), j = k for the point families: |c_k - m c_j| = |c_j| |c_k / c_j - m|
@@ -214,19 +220,20 @@ def _residue_radii(center, params):
             raise DegeneracyError("multiple singularity intersection at residue point")
         divisors = [(abs(ck / c[j]), radii[j]) for j in sorted(through)]
         rk = min([_SHRINK * dmin] + [0.2 * m * rj for m, rj in divisors])
-        rho = max([rho] + [rk / (m * rj) for m, rj in divisors])
+        rho.append(max([_SHRINK] + [rk / (m * rj) for m, rj in divisors]))
         radii.append(rk)
-    return tuple(radii), rho
+    return tuple(radii), tuple(rho)
 
 
 def _circle_sums(f, center, radii, M):
-    """Sums of the summand f(t) prod_k (t_k - c_k) over the offset M-node
-    circles of a stacked centre (ell, R) with radii (ell, R), on one
-    batched grid: over all M^ell nodes, over the (M/2)^ell nodes with even
-    index on every axis (an offset M/2-node rule, selected by global node
-    index so that the slabs of _grid_slabs do not shift it), and of its
-    modulus; each over the grid axes only, one sum per entry of f's value
-    axes and point, with the batch axis last."""
+    """Sums of the summand f(t) prod_k (t_k - c_k) over the offset circles
+    of a stacked centre (ell, R) with radii (ell, R), M = (M_0, ...,
+    M_(ell-1)) nodes per axis, on one batched grid: over all prod(M_k)
+    nodes, over the prod(M_k / 2) nodes with even index on every axis (the
+    offset rule of M_k / 2 nodes per axis, selected by global node index so
+    that the slabs of _grid_slabs do not shift it), and of its modulus;
+    each over the grid axes only, one sum per entry of f's value axes and
+    point, with the batch axis last."""
     ell, R = center.shape
     grid_axes = tuple(range(-ell, 0))
     sums = None
@@ -238,7 +245,7 @@ def _circle_sums(f, center, radii, M):
         half = vals[(..., *(slice(s.start % 2, None, 2) for s in slices[-ell:]))]
         parts = (vals.sum(axis=grid_axes), half.sum(axis=grid_axes), np.abs(vals).sum(axis=grid_axes))
         if sums is None:
-            if math.prod(t.shape[:-1]) == R * M**ell:
+            if math.prod(t.shape[:-1]) == R * math.prod(M):
                 return parts  # one chunk holds the whole grid
             sums = [np.zeros(v.shape[:-1] + (R,), dtype=v.dtype) for v in parts]
         for acc, v in zip(sums, parts):
@@ -250,26 +257,31 @@ def multi_residue(f, center, params=None, plan=None):
     """Nested residue Res_{t1=c1}(... Res_{tl=cl} f ...) by iterated
     small-circle trapezoidal contours (simple poles along each extraction).
 
-    An explicit plan is evaluated on its radii with its node count.  Without
-    one, the radii and rho come from _residue_radii at `params`, and the
-    node count from the rule's own error estimate: M starts at the smallest
-    power of two with rho^(M/2) <= _RESIDUE_TOL, and the mean Q_M of the
+    An explicit plan is evaluated on its radii with its node count on every
+    axis.  Without one, the radii and the per-axis rho come from
+    _residue_radii at `params`, and the node counts M = (M_0, ...,
+    M_(ell-1)) from the rule's own error estimate: axis k starts at the
+    smallest power of two with rho_k^(M_k/2) <= _RESIDUE_TOL (16 on a plain
+    axis, 32 on the inner axis of a pair divisor), and the mean Q_M of the
     summand is accepted once |Q_M - Q_(M/2)| <= _RESIDUE_TOL * mean|summand|,
-    Q_(M/2) being the mean over the even nodes.  Under geometric convergence
-    that difference is the error of Q_(M/2), and the error of Q_M is about
-    its square.  Otherwise M doubles; past ResiduePlan.points (the cap) it
-    raises ConvergenceError.  Value axes of f give an array of residues on
-    the same circles, and M is accepted once every entry passes its test.
+    Q_(M/2) being the mean over the nodes of even index on every axis.
+    Under geometric convergence that difference is the error of Q_(M/2),
+    and the error of Q_M is about its square.  Otherwise every axis doubles,
+    up to ResiduePlan.points (the cap); a point that fails with every axis
+    at the cap raises ConvergenceError, so its last try is the cap^ell grid
+    whatever its start.  Value axes of f give an array of residues on the
+    same circles, and M is accepted once every entry passes its test.
 
     A stacked centre, shape (ell, R) with center[k] coordinate k of every
     point, gives the R residues in one call, with the batch axis last after
     any value axes; an unstacked centre (ell,) is a stack of one, and comes
     back as a scalar or an array of the value axes.  Each point keeps its own
-    radii, rho, starting M and acceptance test; the points that share an M
-    are evaluated on one batched grid (one call of f per chunk), and a point
-    that fails its test goes on without the points that passed, at the
-    doubled M.  The kernels take one truncation per block over the whole
-    batch.  Past the cap the error names the point that did not settle.
+    radii, rho, starting M and acceptance test; the points that share a node
+    tuple M are evaluated on one batched grid (one call of f per chunk), and
+    a point that fails its test goes on without the points that passed, at
+    the doubled M.  The kernels take one truncation per block over the whole
+    batch.  Past the cap the error names the point that did not settle and
+    its node count per axis.
     """
     center = np.asarray(center, dtype=np.complex128)
     ell = len(center)
@@ -281,7 +293,7 @@ def multi_residue(f, center, params=None, plan=None):
     if not stacked:
         center = center[:, None]
     if plan is not None:
-        out = _circle_sums(f, center, np.reshape(plan.radii, center.shape), plan.points)[0] / plan.points**ell
+        out = _circle_sums(f, center, np.reshape(plan.radii, center.shape), (plan.points,) * ell)[0] / plan.points**ell
     else:
         out = _sized_residues(f, center, params)
     return out if stacked else _as_value(out[..., 0])
@@ -289,22 +301,23 @@ def multi_residue(f, center, params=None, plan=None):
 
 def _sized_residues(f, center, params):
     """The residues of multi_residue at a stacked centre (ell, R), each
-    point on its own radii and node count."""
+    point on its own radii and node tuple (M_0, ..., M_(ell-1)).  Groups
+    run in increasing tuple order: a doubled tuple (each axis clamped at
+    the cap) is larger than its own, so a point that doubles joins a group
+    still to come."""
     ell, R = center.shape
     sized = [_residue_radii(c, params) for c in center.T.tolist()]
     radii = np.array([r for r, _ in sized]).T
     pending, out = {}, None
     for i, (_, rho) in enumerate(sized):
-        M = 2
-        while rho ** (M // 2) > _RESIDUE_TOL and M < ResiduePlan.points:
-            M *= 2
-        pending.setdefault(M, []).append(i)
+        pending.setdefault(tuple(map(_start_nodes, rho)), []).append(i)
     while pending:
         M = min(pending)
         idx = pending.pop(M)
         whole = len(idx) == R
         sums = _circle_sums(f, center if whole else center[:, idx], radii if whole else radii[:, idx], M)
-        value, half, mean = sums[0] / M**ell, sums[1] / (M // 2) ** ell, sums[2] / M**ell
+        nodes = math.prod(M)
+        value, half, mean = sums[0] / nodes, sums[1] / (nodes // 2**ell), sums[2] / nodes
         excess = abs(value - half) - _RESIDUE_TOL * mean
         settled = (excess <= 0).reshape(-1, len(idx)).all(axis=0)
         if whole and settled.all():
@@ -313,16 +326,24 @@ def _sized_residues(f, center, params):
             out = np.empty(value.shape[:-1] + (R,), dtype=np.complex128)
         out[..., np.array(idx)[settled]] = value[..., settled]
         for j in np.flatnonzero(~settled):
-            if M < ResiduePlan.points:
-                pending.setdefault(2 * M, []).append(idx[j])
+            if min(M) < ResiduePlan.points:
+                pending.setdefault(tuple(min(2 * m, ResiduePlan.points) for m in M), []).append(idx[j])
                 continue
             k = np.argmax(excess[..., j])
             est, avg = np.ravel(excess[..., j] + _RESIDUE_TOL * mean[..., j])[k], np.ravel(mean[..., j])[k]
             raise ConvergenceError(
-                f"residue at {tuple(map(complex, center[:, idx[j]]))} not settled at {M} nodes per circle: "
+                f"residue at {tuple(map(complex, center[:, idx[j]]))} not settled at {M} nodes per axis: "
                 f"estimate {est:.3g}, mean |summand| {avg:.3g}"
             )
     return out
+
+
+def _start_nodes(rho):
+    """The smallest power of two M with rho^(M/2) <= _RESIDUE_TOL, at most the cap."""
+    M = 2
+    while rho ** (M // 2) > _RESIDUE_TOL and M < ResiduePlan.points:
+        M *= 2
+    return M
 
 
 def _as_value(value):

@@ -223,7 +223,7 @@ def test_residue_radii_closed_forms():
     # catalog pole is p xi z (closer than the origin and z / xi)
     (r,), rho = ig._residue_radii((xi * z,), P1)
     assert abs(r - 0.05 * abs(xi * z) * abs(1 - p)) < 1e-15
-    assert rho == 0.05
+    assert rho == (0.05,)
     # divisor through the centre: (c_0, c_1) = (xi z / eta, xi z) has
     # c_1 = eta c_0, so the inner radius is clamped to 0.2 |c_1 / c_0| r_0
     P2 = P1.with_ell(2)
@@ -231,7 +231,8 @@ def test_residue_radii_closed_forms():
     (r0, r1), rho = ig._residue_radii(c, P2)
     assert abs(r0 - _residue_radii_loop(c, P2)[0]) < 1e-15 * r0
     assert abs(r1 - 0.2 * abs(c[1] / c[0]) * r0) < 1e-15 * r1
-    assert abs(rho - 0.2) < 1e-15  # the divisor's ratio sets the rule's rate
+    # the divisor's ratio sets the inner axis's rate; the outer axis is plain
+    assert rho[0] == 0.05 and abs(rho[1] - 0.2) < 1e-15
     assert r1 < 0.05 * min(abs(c[1] - v) for v in (0.0, p * xi * z, z / xi))
 
 
@@ -272,8 +273,8 @@ def test_qkz_suite_doubles_one_circle(monkeypatch):
     monkeypatch.setattr(ig, "_circle_sums", lambda f, c, r, M: record(M, c) or circle_sums(f, c, r, M))
     recs = suites.run_suite("qkz", seed=4)["checks"]
     assert all(r["status"] == "pass" for r in recs)
-    doubled = [c for M, c in nodes if M != 16]
-    assert len(doubled) == 1 and {M for M, _ in nodes} == {16, 32}
+    doubled = [c for M, c in nodes if M != (16,)]
+    assert len(doubled) == 1 and {M for M, _ in nodes} == {(16,), (32,)}
     P = sample_params(4 + 500, 2, 1, regime="solution")
     shell0 = [wf.special_point(m, P, "x", (0,)) for m in combin.index_vectors(2, 1)]
     assert any(np.allclose(doubled[0], c, rtol=1e-15) for c in shell0)
@@ -323,14 +324,15 @@ def _jackson_integrand(P):
 
 
 def _mean_abs_summand(f, c, radii, M):
-    return ig._circle_sums(f, np.reshape(c, (-1, 1)), np.reshape(radii, (-1, 1)), M)[2][..., 0] / M ** len(c)
+    """Mean |summand| of the residue at c on M = (M_0, ..., M_(ell-1)) nodes per axis."""
+    return ig._circle_sums(f, np.reshape(c, (-1, 1)), np.reshape(radii, (-1, 1)), M)[2][..., 0] / np.prod(M)
 
 
 def test_residue_nodes_sized_by_estimate():
-    # the (2, 2) Jackson points of suite_jackson's draw, shells 0-2: 32^2
-    # nodes where a pair divisor passes through the centre (rho = 0.2), 16^2
-    # elsewhere (rho = 0.05), each accepted at its first count; every value
-    # agrees with the fixed 64-node rule on the same radii
+    # the (2, 2) Jackson points of suite_jackson's draw, shells 0-2: 16 x 32
+    # nodes where a pair divisor passes through the centre (rho = (0.05, 0.2)),
+    # 16^2 elsewhere (rho = 0.05 on both axes), each accepted at its first
+    # count; every value agrees with the fixed 64-node rule on the same radii
     P = sample_params(6 + 2 + 2, 2, 2, regime="jackson_overlap")
     f = _jackson_integrand(P)
     counts = {}
@@ -341,13 +343,13 @@ def test_residue_nodes_sized_by_estimate():
                     c = wf.special_point(mvec, P, side, svec if side == "x" else tuple(-v for v in svec))
                     shapes = []
                     got = ig.multi_residue(lambda t: shapes.append(t.shape[:-1]) or f(t), c, params=P)
-                    M = 32 if _on_pair_divisor(c, P) else 16
-                    assert shapes == [(1, M, M)], (side, mvec, svec)
+                    M = (16, 32) if _on_pair_divisor(c, P) else (16, 16)
+                    assert shapes == [(1, *M)], (side, mvec, svec)
                     counts[M] = counts.get(M, 0) + 1
                     radii, _ = ig._residue_radii(c, P)
                     want = ig.multi_residue(f, c, plan=ig.ResiduePlan(radii, 64))
-                    assert abs(got - want) < 1e-13 * _mean_abs_summand(f, c, radii, 64), (side, mvec, svec)
-    assert counts[16] > 0 and counts[32] > 0
+                    assert abs(got - want) < 1e-13 * _mean_abs_summand(f, c, radii, (64, 64)), (side, mvec, svec)
+    assert counts[16, 16] > 0 and counts[16, 32] > 0
 
 
 def test_residue_nodes_double_and_cap():
@@ -357,7 +359,7 @@ def test_residue_nodes_double_and_cap():
     P = sample_params(9, 2, 1, regime="jackson_overlap")
     c = wf.special_point((1, 0), P, "x")
     (r,), rho = ig._residue_radii(c, P)
-    assert rho == ig._SHRINK
+    assert rho == (ig._SHRINK,)
     for ratio, want_nodes in ((0.02, [16]), (0.25, [16, 32]), (0.5, [16, 32, 64])):
         a = c[0] + r / ratio
         nodes = []
@@ -368,6 +370,60 @@ def test_residue_nodes_double_and_cap():
     a = c[0] + r / 0.9
     with pytest.raises(ConvergenceError):
         ig.multi_residue(lambda t: 1.0 / ((t[..., 0] - c[0]) * (t[..., 0] - a)), c, params=P)
+
+
+def _divisor_residues(monkeypatch, P):
+    """The x- and y-side residues of the Jackson integrand at every pair-divisor
+    point of shells 0-3, one stacked call per side: (nodes, floor), where
+    nodes maps each point to the node tuples it was evaluated on, and floor
+    is the largest |residue - 64^ell reference on the same radii| over
+    mean|summand| on the reference grid."""
+    f = _jackson_integrand(P)
+    nodes, floor = {}, 0.0
+    circle_sums = ig._circle_sums
+
+    def recorded(f, c, r, M):
+        for pt in c.T:
+            nodes.setdefault(tuple(pt), []).append(M)
+        return circle_sums(f, c, r, M)
+
+    monkeypatch.setattr(ig, "_circle_sums", recorded)
+    for side in ("x", "y"):
+        shifts = [s if side == "x" else tuple(-v for v in s) for shell in range(4) for s in combin.index_vectors(2, shell)]
+        points = [wf.special_point(m, P, side, s) for m in combin.index_vectors(P.n, 2) for s in shifts]
+        center = np.transpose([c for c in points if _on_pair_divisor(c, P)])
+        got = ig.multi_residue(f, center, params=P)
+        radii = np.transpose([ig._residue_radii(c, P)[0] for c in center.T])
+        want, _, mean = (v / 64**2 for v in circle_sums(f, center, radii, (64, 64)))  # the 64-node plan
+        floor = max(floor, np.max(abs(got - want) / mean))
+    return nodes, floor
+
+
+@pytest.mark.parametrize("seed,n", [(10, 2), (11, 3)])
+def test_divisor_residues_stay_at_the_floor(monkeypatch, seed, n):
+    # every pair-divisor point of shells 0-3 starts at 16 nodes on its outer
+    # axis and 32 on its inner one (rho = (0.05, 0.2)), is accepted there,
+    # and agrees with the 64^2 rule on the same radii at the rounding floor
+    P = sample_params(seed, n, 2, regime="jackson_overlap")
+    nodes, floor = _divisor_residues(monkeypatch, P)
+    assert len(nodes) >= 20 and all(M == [(16, 32)] for M in nodes.values())
+    assert floor < 1e-13
+
+
+@pytest.mark.parametrize("seed,n", [(10, 2), (11, 3)])
+def test_divisor_residues_rest_on_the_estimate(monkeypatch, seed, n):
+    # with the start rule blinded to the divisor (rho = _SHRINK on every
+    # axis), the acceptance test alone still takes each divisor point to the
+    # floor: the points whose 16^2 rule is off double to 32^2
+    P = sample_params(seed, n, 2, regime="jackson_overlap")
+    residue_radii = ig._residue_radii
+    monkeypatch.setattr(ig, "_residue_radii", lambda c, P: (residue_radii(c, P)[0], (ig._SHRINK,) * len(c)))
+    nodes, floor = _divisor_residues(monkeypatch, P)
+    assert floor < 1e-13
+    assert all(M in ([(16, 16)], [(16, 16), (32, 32)]) for M in nodes.values())
+    assert any(len(M) == 2 for M in nodes.values())
+    if seed == 10:
+        assert nodes[tuple(wf.special_point((2, 0), P, "x", (1, 0)))] == [(16, 16), (32, 32)]
 
 
 def test_residue_estimate_independent_of_chunks(monkeypatch):
@@ -385,10 +441,10 @@ def test_residue_estimate_independent_of_chunks(monkeypatch):
         return out
 
     stack = (np.reshape(c, (3, 1)), np.reshape(radii, (3, 1)))  # a stack of one point
-    whole = ig._circle_sums(f, *stack, M)
+    whole = ig._circle_sums(f, *stack, (M,) * 3)
     calls = []
     monkeypatch.setattr(ig, "_CHUNK", 3 * M)
-    sliced = ig._circle_sums(lambda t: calls.append(t.shape[:-1]) or f(t), *stack, M)
+    sliced = ig._circle_sums(lambda t: calls.append(t.shape[:-1]) or f(t), *stack, (M,) * 3)
     assert len(calls) == M * 3 and (1, 1, 3, M) in calls
     for x, y in zip(whole, sliced):
         assert abs(x - y) < 1e-14 * abs(whole[2])
@@ -407,7 +463,7 @@ def test_residue_estimate_independent_of_chunks(monkeypatch):
     one = ig.multi_residue(g, pt, params=P)
     monkeypatch.setattr(ig, "_CHUNK", 1500)  # one node row of axis 0 per slab
     radii, _ = ig._residue_radii(pt, P)
-    assert abs(ig.multi_residue(g, pt, params=P) - one) < 1e-14 * _mean_abs_summand(g, pt, radii, 16)
+    assert abs(ig.multi_residue(g, pt, params=P) - one) < 1e-14 * _mean_abs_summand(g, pt, radii, (16, 16, 16))
 
 
 def test_stacked_residue_is_each_entry_alone():
@@ -428,23 +484,23 @@ def test_stacked_residue_is_each_entry_alone():
         alone = []
         for h in (f, g):
             shapes = []
-            alone.append((ig.multi_residue(lambda t: shapes.append(t.shape[-2]) or h(t), c, params=P), shapes[-1]))
-        assert alone[0][1] < alone[1][1] == 64
+            alone.append((ig.multi_residue(lambda t: shapes.append(t.shape[1:-1]) or h(t), c, params=P), shapes[-1]))
+        assert max(alone[0][1]) < 64 and alone[1][1] == (64,) * P.ell
         shapes = []
-        stacked = lambda t: shapes.append(t.shape[-2]) or np.array(np.broadcast_arrays(f(t), g(t)))
+        stacked = lambda t: shapes.append(t.shape[1:-1]) or np.array(np.broadcast_arrays(f(t), g(t)))
         got = ig.multi_residue(stacked, c, params=P)
-        assert got.shape == (2,) and shapes[-1] == 64
+        assert got.shape == (2,) and shapes[-1] == (64,) * P.ell
         for h, v, (want, M) in zip((f, g), got, alone):
             assert abs(v - want) < 1e-14 * _mean_abs_summand(h, c, radii, M)
 
 
 def test_stacked_centres_are_each_point_alone():
-    # one stacked call at plain points (16 nodes) and pair-divisor points (32
-    # nodes) of the (2, 2) draw, with value axes in front: entry 1 carries an
-    # extra pole at r_0 / 0.25 from one plain point's circle, so that point
-    # fails at 16 nodes and goes on at 32, with the divisor points.  Each
-    # point and entry equals its own call, and the grid calls are the groups
-    # of points that share an M
+    # one stacked call at plain points (16 x 16 nodes) and pair-divisor
+    # points (16 x 32 nodes) of the (2, 2) draw, with value axes in front:
+    # entry 1 carries an extra pole at r_0 / 0.25 from one plain point's
+    # circle, so that point fails at 16 x 16 nodes and goes on at 32 x 32.
+    # Each point and entry equals its own call, and the grid calls are the
+    # groups of points that share a node tuple
     P = sample_params(6 + 2 + 2, 2, 2, regime="jackson_overlap")
     f = _jackson_integrand(P)
     points = [wf.special_point(m, P, "x", s) for m in combin.index_vectors(2, 2) for s in combin.index_vectors(2, 1)]
@@ -459,17 +515,17 @@ def test_stacked_centres_are_each_point_alone():
     for c in points:
         shapes = []
         alone.append((ig.multi_residue(lambda t: shapes.append(t.shape[:-1]) or h(t), c, params=P), shapes))
-    assert [M for _, M, _ in alone[k][1]] == [16, 32]
+    assert [M for _, *M in alone[k][1]] == [[16, 16], [32, 32]]
     shapes = []
     got = ig.multi_residue(lambda t: shapes.append(t.shape[:-1]) or h(t), np.transpose(points), params=P)
     assert got.shape == (2, len(points))
     groups = {}
     for _, own in alone:
-        for _, M, _ in own:
-            groups[M] = groups.get(M, 0) + 1
-    assert shapes == [(n, M, M) for M, n in sorted(groups.items())]
+        for _, *M in own:
+            groups[tuple(M)] = groups.get(tuple(M), 0) + 1
+    assert shapes == [(n, *M) for M, n in sorted(groups.items())]
     for i, (c, (want, own)) in enumerate(zip(points, alone)):
-        M = own[-1][1]
+        M = own[-1][1:]
         radii, _ = ig._residue_radii(c, P)
         assert np.all(abs(got[:, i] - want) < 1e-14 * _mean_abs_summand(h, c, radii, M)), i
 
@@ -497,7 +553,8 @@ def test_value_axes_entries_do_not_abort_each_other():
 def test_stacked_cap_names_the_point():
     # three x-points of the (2, 1) draw in one call; the middle one has an
     # extra pole at r / 0.9 from its circle, so it never settles by 64 nodes:
-    # the error names that centre, its node count, estimate and mean |summand|
+    # the error names that centre, its node count per axis, estimate and mean
+    # |summand|
     P = sample_params(9, 2, 1, regime="jackson_overlap")
     points = [wf.special_point((1, 0), P, "x", (s,)) for s in range(3)]
     (r,), _ = ig._residue_radii(points[1], P)
@@ -505,7 +562,7 @@ def test_stacked_cap_names_the_point():
     with pytest.raises(ConvergenceError) as err:
         ig.multi_residue(lambda t: 1.0 / (t[..., 0] - a), np.transpose(points), params=P)
     msg = str(err.value)
-    assert f"residue at {(complex(points[1][0]),)} not settled at 64 nodes per circle" in msg
+    assert f"residue at {(complex(points[1][0]),)} not settled at (64,) nodes per axis" in msg
     assert "estimate" in msg and "mean |summand|" in msg
     assert all(str(complex(c[0])) not in msg for c in (points[0], points[2]))
 
