@@ -20,7 +20,7 @@ from . import combin, weightfn
 from .errors import ConvergenceError, DegeneracyError, PoleProximityError
 from .grid import ProductGrid, unit_roots
 from .numkernel import POLE_GUARD, Factor, Integrand, phase_declaration, phase_phi, pole_families, qpoch, theta
-from .numkernel import _nearest_p_power
+from .numkernel import _nearest_p_power, _p_shells, _powers
 
 TWO_PI_I = 2j * math.pi
 _CHUNK = 1 << 17
@@ -276,10 +276,13 @@ def multi_residue(f, center, params=None, plan=None):
     point, gives the R residues in one call, with the batch axis last after
     any value axes; an unstacked centre (ell,) is a stack of one, and comes
     back as a scalar or an array of the value axes.  Each point keeps its own
-    radii, rho, starting M and acceptance test; the points that share a node
-    tuple M are evaluated on one batched grid (one call of f per chunk), and
-    a point that fails its test goes on without the points that passed, at
-    the doubled M.  The kernels take one truncation per block over the whole
+    radii, rho, starting M and acceptance test.  The radii take one walk per
+    stack: a point that is the first one p-shifted, c_0 p^sigma, gets the
+    first point's radii scaled by |p|^sigma and its rho (_stack_radii), any
+    other point walks alone.  The points that share a node tuple M are
+    evaluated on one batched grid (one call of f per chunk), and a point
+    that fails its test goes on without the points that passed, at the
+    doubled M.  The kernels take one truncation per block over the whole
     batch.  Past the cap the error names the point that did not settle and
     its node count per axis.
     """
@@ -299,17 +302,41 @@ def multi_residue(f, center, params=None, plan=None):
     return out if stacked else _as_value(out[..., 0])
 
 
+def _stack_radii(center, params):
+    """(radii, rhos): the _residue_radii of every point of a stacked centre
+    (ell, R), the radii as an (ell, R) array and one rho tuple per point.
+
+    Only the first point walks.  A point c_r = c_0 p^sigma, sigma an integer
+    per coordinate (checked to 1e-12 relative), gets the radii r_0 |p|^sigma
+    and rho_0: every family is a p-lattice, and the origin, own-member and
+    divisor tests are scale-invariant, so that is the walk's answer at c_r
+    up to rounding.  Any other point walks alone."""
+    p, R = complex(params.p), center.shape[1]
+    c0 = center[:, :1]
+    r0, rho0 = _residue_radii(c0[:, 0].tolist(), params)
+    if R == 1:
+        return np.array(r0)[:, None], [rho0]
+    sigma = _p_shells(center / c0, p)
+    ps, aps = (1.0, np.ones(center.shape)) if sigma is None else (_powers(p, sigma), _powers(abs(p), sigma))
+    shifted = np.all(np.abs(center - c0 * ps) <= 1e-12 * np.abs(center), axis=0)
+    radii = np.array(r0)[:, None] * aps
+    rhos = [rho0] * R
+    for r in np.flatnonzero(~shifted):
+        walked, rhos[r] = _residue_radii(center[:, r].tolist(), params)
+        radii[:, r] = walked
+    return radii, rhos
+
+
 def _sized_residues(f, center, params):
     """The residues of multi_residue at a stacked centre (ell, R), each
-    point on its own radii and node tuple (M_0, ..., M_(ell-1)).  Groups
-    run in increasing tuple order: a doubled tuple (each axis clamped at
-    the cap) is larger than its own, so a point that doubles joins a group
-    still to come."""
+    point on its own radii and node tuple (M_0, ..., M_(ell-1)); the radii
+    take one walk per stack (_stack_radii).  Groups run in increasing tuple
+    order: a doubled tuple (each axis clamped at the cap) is larger than its
+    own, so a point that doubles joins a group still to come."""
     ell, R = center.shape
-    sized = [_residue_radii(c, params) for c in center.T.tolist()]
-    radii = np.array([r for r, _ in sized]).T
+    radii, rhos = _stack_radii(center, params)
     pending, out = {}, None
-    for i, (_, rho) in enumerate(sized):
+    for i, rho in enumerate(rhos):
         pending.setdefault(tuple(map(_start_nodes, rho)), []).append(i)
     while pending:
         M = min(pending)

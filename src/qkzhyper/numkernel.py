@@ -89,6 +89,32 @@ def _nearest_p_power(x, v, p, lo=None):
     return best_s, best
 
 
+def _p_shells(x, p):
+    """(j, ks): the p-shell k = round(log|x| / log|p|) of every element of
+    x, k = 0 where |x| is 0 or not finite, as the index j = k - ks.start
+    into ks = range(min k, max k + 1); None when every k is 0."""
+    lx = np.abs(x)
+    np.log(lx, out=lx, where=lx > 0)  # |x| = 0 stays 0, so k = 0 there
+    lx *= 1 / _log_abs_p(abs(p))
+    np.rint(lx, out=lx)
+    lo, hi = lx.min(), lx.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        lx[~np.isfinite(lx)] = 0
+        lo, hi = lx.min(), lx.max()
+    if lo == hi == 0:
+        return None
+    lx -= lo
+    return lx.astype(np.intp), range(int(lo), int(hi) + 1)
+
+
+def _powers(z, shells, sign=1):
+    """z^(sign k) at every element of the p-shells (j, ks) of `_p_shells`,
+    from the table of Python integer powers z^(sign n), n in ks (so p^-k is
+    a correctly signed power of p, not a power of a rounded 1 / p)."""
+    j, ks = shells
+    return np.take(np.array([z ** (sign * n) for n in ks]), j)
+
+
 def _umax(u):
     if isinstance(u, (int, float, complex)):
         return abs(u)
@@ -251,10 +277,18 @@ class Integrand:
     call per block, so one `nterms` per block, from max|u| over its rows;
     then the rows of each term multiply within their block, with the term's
     linear and monomial factors on that set, and the term is formed by
-    `_term_value`.  On a staggered torus grid a pair block is evaluated on
-    the M values of its ratio, and each term's product of its rows is
-    gathered onto the pair grid once; linear and monomial factors are always
-    evaluated on the points themselves."""
+    `_term_value`.  A block whose rows all come from two-sided theta
+    factors is reduced by quasi-periodicity, theta(a p^k y) / theta(b p^k y)
+    = (b / a)^k theta(a y) / theta(b y): its rows are evaluated at
+    y = x p^-k, k = round(log|x| / log|p|), so |p|^(1/2) <= |y| <= |p|^(-1/2)
+    on every p-shell and the block's `nterms` does not grow with the shell,
+    and each term's product of its rows there is multiplied by C^k, with
+    C = prod (den / num)^s over the term's theta factors in the block (s the
+    orientation of each).  A block with a q-Pochhammer or a one-sided theta
+    row is evaluated at x.  On a staggered torus grid a pair block is
+    evaluated on the M values of its ratio, and each term's product of its
+    rows is gathered onto the pair grid once; linear and monomial factors
+    are always evaluated on the points themselves."""
 
     def __init__(self, p, terms, const=1.0):
         self.p, self.const, self.terms = p, const, []
@@ -271,8 +305,9 @@ class Integrand:
 
     def _compile(self):
         p, blocks, self._plan = self.p, {}, []
+        plain = set()  # the blocks with a row not from a two-sided theta factor
         for term in self.terms:
-            const, rows, ends, other = self.const, {}, {}, {}
+            const, rows, ends, other, shift = self.const, {}, {}, {}, {}
             for f in term:
                 key, s = _coords(f)
                 if f.kind not in ("qpoch", "theta"):
@@ -281,7 +316,12 @@ class Integrand:
                 split = (lambda c: [(c, s), (p / c, -s)]) if f.kind == "theta" else (lambda c: [(c, s)])
                 if f.num is not None and f.den is not None:
                     rows.setdefault(key, []).extend(zip(split(f.num), split(f.den)))
+                    if f.kind == "theta":
+                        shift[key] = shift.get(key, 1) * (f.den / f.num) ** s
+                    else:
+                        plain.add(key)
                     continue
+                plain.add(key)
                 side = f.den is not None
                 ends.setdefault(key, ([], []))[side].extend(split(f.den if side else f.num))
                 if f.kind == "theta":
@@ -291,38 +331,48 @@ class Integrand:
             spans = {}
             for key in {**rows, **other}:
                 block = blocks.setdefault(key, [])
-                spans[key] = (len(block), len(block) + len(rows.get(key, ())), other.get(key, ()))
+                start = len(block)
                 block.extend(rows.get(key, ()))
+                spans[key] = (start, len(block), other.get(key, ()), shift.get(key, 1))
             self._plan.append((const, spans))
         # per block: the 2R coefficients c of the ends (numerators, then
-        # denominators), each u = c x, and the indices of the ends whose u is
-        # c / x instead, with their coefficients
+        # denominators), each u = c x, the indices of the ends whose u is
+        # c / x instead, with their coefficients, and whether it is reduced
         self._blocks = {}
         for key, block in blocks.items():
             if block:
                 c, s = zip(*[end for side in (0, 1) for end in (row[side] for row in block)])
                 flip = np.flatnonzero(np.array(s) < 0)
                 c = np.array(c, dtype=np.complex128)
-                self._blocks[key] = (c, flip, c[flip])
+                self._blocks[key] = (c, flip, c[flip], key not in plain)
 
     def _rows(self, key, ts):
-        """(rows, idx): the ratio rows of one block on the points ts, from one
-        kernel call, and the indices that gather a row onto the grid (None
-        when the rows are on it).  A pair block on a staggered torus is
-        evaluated on the M values of its ratio (`ProductGrid.pair`)."""
-        c, flip, c_flip = self._blocks[key]
+        """(rows, idx, k): the ratio rows of one block on the points ts, from
+        one kernel call, the indices that gather a row onto the grid (None
+        when the rows are on it), and the p-shells k of the rows' points
+        (`_p_shells`; None when the rows are at x itself).  A pair block on a
+        staggered torus is evaluated on the M values of its ratio
+        (`ProductGrid.pair`).  A reduced block is evaluated at y = x p^-k,
+        p^-k taken from a table of integer powers; when every k is 0 (|x|
+        near 1, every torus node) x is left as it is, so those rows keep
+        their bits."""
+        c, flip, c_flip, reduced = self._blocks[key]
         if len(key) == 1:
             x, idx = ts[..., key[0]], None
         elif isinstance(ts, ProductGrid):
             x, idx = ts.pair(*key)
         else:
             x, idx = ts[..., key[0]] / ts[..., key[1]], None
+        k = _p_shells(x, self.p) if reduced else None
+        if k is not None:
+            y = _powers(complex(self.p), k, -1)
+            x = np.multiply(x, y, out=y)
         u = np.multiply.outer(c, x)
         if flip.size:
             u[flip] = np.divide.outer(c_flip, x)
         del x  # a pair grid's x need not stay alive beside the 2R ends and R rows of the call
         R = len(c) // 2
-        return qpoch_ratio(u[:R], u[R:], self.p), idx
+        return qpoch_ratio(u[:R], u[R:], self.p), idx, k
 
     def __call__(self, t):
         ts, single = as_batch(t)
@@ -332,11 +382,13 @@ class Integrand:
         acc = None
         for const, spans in self._plan:
             parts = []
-            for key, (s, e, other) in spans.items():
+            for key, (s, e, other, shift) in spans.items():
                 v = None
                 if s < e:
-                    r, idx = rows[key]
+                    r, idx, k = rows[key]
                     v = r[s] if e - s == 1 else r[s:e].prod(axis=0)
+                    if k is not None and shift != 1:
+                        v *= _powers(shift, k)  # a reduced term has two rows per theta, so v is its own
                     if idx is not None:
                         v = np.take(v, idx)  # one gather per term and block, after the product
                 for f in other:

@@ -263,6 +263,57 @@ def test_residue_radii_complete_on_far_shells():
                 assert np.allclose(got, _residue_radii_loop(c, Q), rtol=1e-12, atol=0), (mvec, s)
 
 
+def _stack_radii_walks(monkeypatch, center, P):
+    """(radii, rhos, alone, walks): _stack_radii at the stacked centre, each
+    point's own _residue_radii, and the centres that the stack walked."""
+    alone = [ig._residue_radii(c, P) for c in center.T.tolist()]
+    walks, residue_radii = [], ig._residue_radii
+    monkeypatch.setattr(ig, "_residue_radii", lambda c, P: walks.append(c) or residue_radii(c, P))
+    radii, rhos = ig._stack_radii(center, P)
+    monkeypatch.undo()
+    return radii, rhos, alone, walks
+
+
+def _start_tuple(rho):
+    return tuple(map(ig._start_nodes, rho))
+
+
+@pytest.mark.parametrize("seed,n", [(10, 2), (11, 3)])
+def test_stack_radii_scale_one_walk(monkeypatch, seed, n):
+    # the p-shifts of one special point in one shell take one walk, at the
+    # first point; every other point's radii are the first's times
+    # |p|^sigma, within 1e-14 of its own walk, with its start tuple
+    P = sample_params(seed, n, 2, regime="jackson_overlap")
+    for side in ("x", "y"):
+        for shell in range(6):
+            shifts = [s if side == "x" else tuple(-v for v in s) for s in combin.index_vectors(2, shell)]
+            for mvec in combin.index_vectors(n, 2):
+                center = np.transpose([wf.special_point(mvec, P, side, s) for s in shifts])
+                radii, rhos, alone, walks = _stack_radii_walks(monkeypatch, center, P)
+                assert len(walks) == 1
+                for r, rho, (want, want_rho) in zip(radii.T, rhos, alone):
+                    assert np.allclose(r, want, rtol=1e-14, atol=0), (side, shell, mvec)
+                    assert _start_tuple(rho) == _start_tuple(want_rho)
+
+
+def test_stack_radii_walk_points_of_other_lattices(monkeypatch):
+    # a stack that mixes the special points of two m: the points off the
+    # first point's p-lattice each walk alone, bit-identical to the scalar
+    # walk; a stack of the shell-0 points of every m walks every point
+    P = sample_params(10, 2, 2, regime="jackson_overlap")
+    first, other = ([wf.special_point(m, P, "x", s) for s in combin.index_vectors(2, 2)] for m in ((2, 0), (1, 1)))
+    radii, rhos, alone, walks = _stack_radii_walks(monkeypatch, np.transpose(first + other), P)
+    assert len(walks) == 1 + len(other)
+    for r, rho, (want, want_rho) in list(zip(radii.T, rhos, alone))[: len(first)]:
+        assert np.allclose(r, want, rtol=1e-14, atol=0) and _start_tuple(rho) == _start_tuple(want_rho)
+    for r, rho, (want, want_rho) in list(zip(radii.T, rhos, alone))[len(first) :]:
+        assert tuple(r) == want and rho == want_rho
+    shell0 = np.transpose([wf.special_point(m, P, "x") for m in combin.index_vectors(2, 2)])
+    radii, rhos, alone, walks = _stack_radii_walks(monkeypatch, shell0, P)
+    assert len(walks) == shell0.shape[1]
+    assert [(tuple(r), rho) for r, rho in zip(radii.T, rhos)] == alone
+
+
 def test_qkz_suite_doubles_one_circle(monkeypatch):
     # with every singularity in the radii, the one circle of the seed-0 qkz
     # suite that needs 32 nodes is a shell-0 point under a large phase

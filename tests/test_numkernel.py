@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkzhyper import combin, integrate, kernels, numkernel
+from qkzhyper import combin, integrate, kernels, numkernel, weightfn
 from qkzhyper.cli_params import sample_params
 from qkzhyper.errors import ConvergenceError, DomainError, PoleProximityError, ResonanceError
 from qkzhyper.grid import ProductGrid, as_batch
@@ -691,3 +691,112 @@ def test_compiled_integrand_far_shells():
             assert np.max(np.abs(np.asarray(got) - want) / np.abs(want)) < 1e-13
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(qpoch(2.0 * 1e40, p))
+
+
+# ---------------------------------------------------------------------------
+# two-sided theta blocks reduced by quasi-periodicity
+
+
+def _shell_grid(P, m, side, shell):
+    """A batched product grid of circles around the p-shifts c of special
+    point m in one Jackson shell, 8 nodes per axis, of radius |c_0| / 4 on
+    axis 0 and |c_a| / 10 on the others: points near the special points,
+    where W and omega_elliptic have their poles and zeros, but a tenth of
+    their modulus from the axis poles and the pair divisors through them."""
+    shifts = [s if side == "x" else tuple(-v for v in s) for s in combin.index_vectors(P.ell, shell)]
+    center = np.transpose([weightfn.special_point(m, P, side, s) for s in shifts])
+    radii = np.abs(center) / np.array([4] + [10] * (P.ell - 1))[:, None]
+    ((_, t),) = integrate._grid_slabs(center, radii, (8,) * P.ell)
+    return t
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_reduced_theta_blocks_match_per_factor_loop_on_far_shells(side):
+    """Every (2, 2) and (3, 2) subset W and omega_elliptic near the
+    p-shifted special points of shells 0-22 (|t| down to |p|^22 on the x
+    side, up to |p|^-22 on the y side): each term, its axis and pair blocks
+    evaluated at x p^-k and multiplied by C^k, matches the per-factor loop
+    to 1e-13, and each declaration to 1e-13 of the sum of its terms'
+    moduli (the terms of W cancel by up to 1e3 there)."""
+    for seed, n in ((10, 2), (11, 3)):
+        P = sample_params(seed, n, 2, regime="jackson_overlap")
+        Fs = [subset_form("theta", l, P) for l in combin.index_vectors(n, 2)] + [integrate.omega_elliptic(P)]
+        assert all(reduced for F in Fs for (*_, reduced) in F._blocks.values())
+        ks = set()
+        for shell in (0, 1, 5, 11, 22):
+            for m in combin.index_vectors(n, 2):
+                t = _shell_grid(P, m, side, shell)
+                ks.update((numkernel._p_shells(t[..., 0], P.p) or (0, [0]))[1])
+                for F in Fs:
+                    terms = [Integrand(F.p, [term], F.const) for term in F.terms]
+                    for G in terms:
+                        _assert_matches_per_factor(G, t)
+                    scale = sum(np.abs(_per_factor(G, t)) for G in terms)
+                    assert np.max(np.abs(F(t) - _per_factor(F, t)) / scale) < 1e-13
+        assert max(map(abs, ks)) >= 22
+
+
+def test_reduced_theta_blocks_with_shells_varying_over_a_grid():
+    """Circles around |t_0| = |p|^(1/2) and |t_0 / t_1| = |p|^(-1/2), where
+    k = round(log|x| / log|p|) takes two values on one grid; the axis and
+    pair blocks still match the per-factor loop on the grid, a batch and
+    single points."""
+    P = sample_params(10, 2, 2, regime="jackson_overlap")
+    h = abs(P.p) ** 0.5
+    row = lambda c: c * (1 + 0.2 * np.exp(2j * np.pi * (np.arange(12) + 0.3) / 12))
+    grid = ProductGrid([row(h * np.exp(0.7j)), row(np.exp(2.2j))])
+    for x in (grid[..., 0], grid.pair(0, 1)[0], grid[..., 0] / grid[..., 1]):
+        assert len(numkernel._p_shells(x, P.p)[1]) == 2
+    dense = np.asarray(grid).reshape(-1, 2)
+    for F in [subset_form("theta", l, P) for l in combin.index_vectors(2, 2)] + [integrate.omega_elliptic(P)]:
+        for t in (grid, dense, dense[0], dense[-1]):
+            _assert_matches_per_factor(F, t)
+
+
+def test_blocks_with_qpoch_or_one_sided_rows_are_not_reduced(monkeypatch):
+    """The phase, q-beta and ARL blocks carry q-Pochhammer or one-sided
+    theta rows, so they are evaluated at x itself and take no p-shell; a
+    two-sided theta beside a qpoch or a one-sided theta row in one block
+    leaves that block unreduced, while a block of two-sided thetas alone,
+    next to a qpoch pair block, is reduced."""
+    P = sample_params(10, 2, 2, regime="jackson_overlap")
+    rng = np.random.default_rng(2)
+    draw = lambda m: m * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    a, b, c, x, alpha, beta, p = (draw(m) for m in (0.35, 0.4, 1.2, 0.42, 0.3, 0.45, 0.2))
+    theta = Factor("theta", 0.7, 1.3, a=0)
+    mixed = [Integrand(p, [[theta, Factor(kind, 0.5, a=0)]]) for kind in ("qpoch", "theta")]
+    shells = []
+    monkeypatch.setattr(numkernel, "_p_shells", lambda x, p: shells.append(x) or None)
+    t = _shell_grid(P, (2, 0), "x", 6)
+    for F in [phase_declaration(P, 2), integrate._phase_tilde(P)] + mixed:
+        F(t)
+        assert not any(reduced for (*_, reduced) in F._blocks.values())
+    far = np.asarray(t)[0, :3, :3] * 1e3
+    for F in (integrate.qbeta_integrand(a, b, c, x, p, 2), integrate.arl_integrand(a, b, c, alpha, beta, x, p, 2)):
+        F(far)
+        assert not any(reduced for (*_, reduced) in F._blocks.values())
+    assert not shells
+    F = Integrand(p, [[theta, Factor("qpoch", 0.5, 0.2, a=0, b=1)]])
+    assert F._blocks[(0,)][3] and not F._blocks[(0, 1)][3]
+    F(t)
+    assert len(shells) == 1 and shells[0] is t[..., 0]
+
+
+def test_reduced_theta_blocks_truncate_at_the_unit_shell(monkeypatch):
+    """At the shell-22 stacks of the x and y sides the theta blocks call the
+    kernel with the policy nterms for |u| <= max|c| |p|^(-1/2), c the
+    block's coefficients, where the unreduced arguments would need more."""
+    P = sample_params(10, 2, 2, regime="jackson_overlap")
+    calls, kernel = [], numkernel.qpoch_ratio_array
+    monkeypatch.setattr(numkernel, "qpoch_ratio_array", lambda a, b, p, n: calls.append(n) or kernel(a, b, p, n))
+    for side in ("x", "y"):
+        t = _shell_grid(P, (1, 1), side, 22)
+        for F in [subset_form("theta", l, P) for l in combin.index_vectors(2, 2)] + [integrate.omega_elliptic(P)]:
+            for key, (c, *_) in F._blocks.items():
+                calls.clear()
+                F._rows(key, t)
+                bound = DEFAULT_POLICY.nterms(P.p, np.abs(c).max() * abs(P.p) ** -0.5)
+                x = t[..., key[0]] if len(key) == 1 else t[..., key[0]] / t[..., key[1]]
+                ax = np.abs(x)
+                unreduced = DEFAULT_POLICY.nterms(P.p, np.abs(c).max() * max(ax.max(), 1 / ax.min()))
+                assert len(calls) == 1 and calls[0] <= bound < unreduced, (side, key, calls, bound, unreduced)
