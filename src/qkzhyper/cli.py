@@ -225,7 +225,7 @@ def build_parser():
     v = sub.add_parser("verify", help="run a named verification suite")
     v.add_argument("suite", help="|".join(sorted(SUITES)))
     v.add_argument("--params", help="JSON parameter file")
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=_non_negative, default=None)
     v.add_argument("--grid", type=_positive, default=None)
     v.add_argument("--cutoff", type=_non_negative, default=60)
     v.add_argument("--report", help="write a JSON report here")
@@ -233,7 +233,7 @@ def build_parser():
 
     t = sub.add_parser("table", help="LHS/RHS table for one identity over a seed grid")
     t.add_argument("identity", help="|".join(TABLE_IDENTITIES))
-    t.add_argument("--seed", type=int, default=1)
+    t.add_argument("--seed", type=_non_negative, default=1)
     t.add_argument("--rows", type=_positive, default=3)
     t.add_argument("--tol", type=float, default=1e-8)
     t.add_argument("--cutoff", type=_non_negative, default=40)
@@ -241,7 +241,7 @@ def build_parser():
     t.set_defaults(fn=cmd_table)
 
     s = sub.add_parser("sample", help="print an admissible parameter draw")
-    s.add_argument("--seed", type=int, default=1)
+    s.add_argument("--seed", type=_non_negative, default=1)
     s.add_argument("--n", type=_positive, default=2)
     s.add_argument("--ell", type=_non_negative, default=1)
     s.add_argument("--regime", default="convergent")

@@ -378,27 +378,25 @@ def _as_value(value):
 
 
 def _shell_residues(f, params, side, shell):
-    """Nested residues of f at the special points of one Jackson shell: x<(m, s)>
-    (side "x") or y>(m, -s) (side "y") for every m and every s >= 0 with
-    |s|_1 = shell, one stacked multi_residue call per m.  At ell = 0 shell 0
-    is the empty point and later shells are empty."""
+    """Sum of the nested residues of f at the special points of one Jackson
+    shell: x<(m, s)> (side "x") or y>(m, -s) (side "y") for every m and every
+    s >= 0 with |s|_1 = shell, one stacked multi_residue call per m.  At
+    ell = 0 shell 0 is the empty point and later shells are empty (0)."""
     ell = params.ell
     if ell == 0:
-        if shell == 0:
-            yield multi_residue(f, (), params=params)
-        return
+        return multi_residue(f, (), params=params) if shell == 0 else 0
     shifts = [s if side == "x" else tuple(-v for v in s) for s in combin.index_vectors(ell, shell)]
+    total = 0
     for mvec in combin.index_vectors(params.n, ell):
         points = np.array([weightfn.special_point(mvec, params, side, sh) for sh in shifts])
-        yield from np.moveaxis(multi_residue(f, points.T, params=params), -1, 0)
+        total = total + multi_residue(f, points.T, params=params).sum(axis=-1)
+    return total
 
 
 def special_residue_sum(f, params, side):
     """Sum of the nested residues of f at every special point x<m (side "x")
     or y>m (side "y", with the (-1)^ell sign): shell 0 of the Jackson walk."""
-    total = 0.0 + 0j
-    for r in _shell_residues(f, params, side, 0):
-        total += r
+    total = _shell_residues(f, params, side, 0)
     return total * (-1.0) ** params.ell if side == "y" else total
 
 
@@ -406,10 +404,10 @@ def special_residue_sum(f, params, side):
 # lattice sums and Jackson sums
 
 
-def _shell_sum(shell_terms, cutoff, tol):
-    """Sum a lattice series shell by shell; shell_terms(s) yields the terms of
-    shell s.  Terms with value axes are one series per entry, and every rule
-    below holds per entry.
+def _shell_sum(shell_total, cutoff, tol):
+    """Sum a lattice series shell by shell; shell_total(s) is the sum of the
+    terms of shell s.  Values with value axes are one series per entry, and
+    every rule below holds per entry.
 
     Stops once two consecutive shells are below tol * |total|, from shell 3
     on; reaching shell `cutoff` first raises ConvergenceError.  The tail
@@ -421,9 +419,7 @@ def _shell_sum(shell_terms, cutoff, tol):
     total = 0.0 + 0j
     sizes = []
     for shell in range(cutoff + 1):
-        acc = 0 * total  # a zero of the value shape, so an empty shell has it too
-        for term in shell_terms(shell):
-            acc += term
+        acc = shell_total(shell) + 0 * total  # an empty shell (0) takes the value shape
         total += acc
         sizes.append(abs(acc))
         bound = tol * (abs(total) + 1e-300)  # 1e-300 keeps a zero total's bound positive
@@ -785,16 +781,16 @@ def ascj_sum(a, b, alpha, beta, p, m, ell, cutoff=40):
             out[~lattice] = qp(p * off / x) / qp(p * x * off)
         return out
 
-    def shell_terms(shell):
+    def shell_total(shell):
         rows = list(_signed_shell(ell, shell))
         us = np.array([[v(r) for r in rs] for rs in rows], dtype=np.complex128)
         term = np.array([(-1.0) ** sum(r < 0 for r in rs) for rs in rows])
         term = term * singles(us) * pair_factors(us).prod(axis=1)
         for k in range(ell):
             term *= us[:, k] ** (2 * m * (ell - 1 - k))
-        yield from term.tolist()
+        return term.sum()
 
-    total, report = _shell_sum(shell_terms, cutoff, _LATTICE_TOL)
+    total, report = _shell_sum(shell_total, cutoff, _LATTICE_TOL)
     rhs = p ** (m * m * comb(ell, 3) - comb(m, 2) * comb(ell, 2))
     for s in range(ell):
         rhs *= qp(p ** (m + 1)) * qp(p ** (m * (ell + s - 1)) * a * b * alpha * beta)
@@ -837,7 +833,7 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell):
         [th(x ** (j + s) * a / b) / th(x ** (j - s) * a / b) for s in range(ell - j)] for j in range(ell + 1)
     ]
 
-    def shell_terms(shell):
+    def shell_total(shell):
         rows, scales = [], []
         for j in range(ell + 1):
             for rs in combin.index_vectors(ell, shell):
@@ -858,9 +854,9 @@ def ascj_general_sum(a, b, alpha, beta, x, p, ell):
                     scale *= f
                 rows.append(us)
                 scales.append(scale)
-        yield from (np.array(scales, dtype=np.complex128) * weight(np.array(rows, dtype=np.complex128))).tolist()
+        return (np.array(scales, dtype=np.complex128) * weight(np.array(rows, dtype=np.complex128))).sum()
 
-    total, report = _shell_sum(shell_terms, _ASCJ_GENERAL_CUTOFF, _LATTICE_TOL)
+    total, report = _shell_sum(shell_total, _ASCJ_GENERAL_CUTOFF, _LATTICE_TOL)
     rhs = 1.0 + 0j
     for s in range(ell):
         rhs *= qp(x) * qp(x ** (ell + s - 1) * a * b * alpha * beta) * b * th(x**s * a / b)
@@ -883,7 +879,7 @@ def qselberg_jackson(alpha, u, x, p, ell):
     qp = lambda v: qpoch(v, p)
     weight = qselberg_weight(alpha, x, p, ell)
 
-    def shell_terms(shell):
+    def shell_total(shell):
         rows, scales = [], []
         for rs in combin.index_vectors(ell, shell):
             ts = []
@@ -895,9 +891,9 @@ def qselberg_jackson(alpha, u, x, p, ell):
             expo_x = -sum((i - 1) * (ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
             rows.append(ts)
             scales.append(u**expo_u * x**expo_x)
-        yield from (np.array(scales, dtype=np.complex128) * weight(np.array(rows, dtype=np.complex128))).tolist()
+        return (np.array(scales, dtype=np.complex128) * weight(np.array(rows, dtype=np.complex128))).sum()
 
-    total, report = _shell_sum(shell_terms, _QSELBERG_CUTOFF, _LATTICE_TOL)
+    total, report = _shell_sum(shell_total, _QSELBERG_CUTOFF, _LATTICE_TOL)
     rhs = 1.0 + 0j
     for s in range(ell):
         rhs *= qp(x) * qp(x**s * alpha * u) * qp(p)

@@ -92,7 +92,8 @@ def _nearest_p_power(x, v, p, lo=None):
 def _p_shells(x, p):
     """(j, ks): the p-shell k = round(log|x| / log|p|) of every element of
     x, k = 0 where |x| is 0 or not finite, as the index j = k - ks.start
-    into ks = range(min k, max k + 1); None when every k is 0."""
+    into ks = range(min k, max k + 1), j of the narrowest unsigned dtype
+    that holds it; None when every k is 0."""
     lx = np.abs(x)
     np.log(lx, out=lx, where=lx > 0)  # |x| = 0 stays 0, so k = 0 there
     lx *= 1 / _log_abs_p(abs(p))
@@ -104,7 +105,7 @@ def _p_shells(x, p):
     if lo == hi == 0:
         return None
     lx -= lo
-    return lx.astype(np.intp), range(int(lo), int(hi) + 1)
+    return lx.astype(np.min_scalar_type(int(hi - lo))), range(int(lo), int(hi) + 1)
 
 
 def _powers(z, shells, sign=1):

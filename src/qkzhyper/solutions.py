@@ -294,15 +294,13 @@ def as_factorization_ratio(l_index, params):
         for j in range(m):
             pref *= params.xi[j] ** l[m]
     prod = 1.0 + 0j
+    unit = replace(params, z=tuple(zm / abs(zm) for zm in params.z))
     for m in range(n):
         lm = l[m]
         if lm == 0:
             continue
-        kap_m = weightfn.kappa_lm(l, params, m)
-        sub = replace(
-            params, n=1, ell=lm, xi=(params.xi[m],), z=(params.z[m] / abs(params.z[m]),), kappa=kap_m
-        )
-        Wm = weightfn.one_block_W(lm, 0, sub, kap_m)
-        wm = weightfn.one_block_w(lm, 0, sub)
+        sub = weightfn.block_params(unit, m, lm, weightfn.kappa_lm(l, params, m))
+        Wm = lambda t: weightfn.W_ell((lm,), t, sub)
+        wm = lambda t: weightfn.w_trig((lm,), t, sub)
         prod *= complex(integrate.hyper_I_many([Wm], [wm], sub, integrate.QuadratureSpec(128))[0, 0])
     return total / (pref * prod)

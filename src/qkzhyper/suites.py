@@ -224,8 +224,8 @@ def suite_weights(seed=2, cfg=None):
             out.append(_val(f"{fam}-diagonal-closed-{l}", vals[(l, l)], closed, 1e-10))
     # star products: associativity and factorization
     Pq = sample_params(seed + 3, 2, 2)
-    f1 = weightfn.one_block_w(1, 0, Pq)
-    f2 = weightfn.one_block_w(1, 1, Pq)
+    f1 = lambda tt: weightfn.w_trig((1,), tt, weightfn.block_params(Pq, 0, 1))
+    f2 = lambda tt: weightfn.w_trig((1,), tt, weightfn.block_params(Pq, 1, 1))
     prod = weightfn.star_product(f1, f2, 1, 1, 1, Pq, "trig")
     direct = lambda tt: weightfn.w_trig((1, 1), tt, Pq, "subset")
     tpt = t[1]
@@ -484,7 +484,7 @@ def vanishing_checks(seed):
     # I(W, D_a g) = 0 for the rational-family derivative, (n, ell) = (2, 1)
     Pg = sample_params(seed + 7, 2, 1, regime="small_xi")
     gfun = lambda t, z: t[..., 0] / ((t[..., 0] - Pg.xi[0] * z[0]) * (t[..., 0] - Pg.p / Pg.xi[1] * z[1]))
-    Dg = weightfn.discrete_shift(gfun, 0, Pg, "D")
+    Dg = weightfn.discrete_shift(gfun, 0, Pg)
     Wf = lambda t: weightfn.W_ell((1, 0), t, Pg, "subset")
     ws = [lambda t: Dg(t, Pg.z), lambda t: gfun(t, Pg.z)]
     ((num, den),) = integrate.hyper_I_many([Wf], ws, Pg, integrate.QuadratureSpec(192)).tolist()
@@ -835,6 +835,8 @@ SUITES = {
 
 
 def _rmatrix_on_params(P, cfg):
+    if P.n < 2:
+        raise ValueError("rmatrix checks on explicit params need n >= 2")
     L, z = P.Lambda, P.z
     ybe = rmatrix_ybe_check(L[0], L[1], L[2], z[0] / z[2], z[1] / z[2], P.q) if P.n >= 3 else []
     return rmatrix_pair_checks(L[0], L[1], z[0] / z[1], P.q) + ybe

@@ -17,6 +17,7 @@ grid.as_batch or grid.as_points; only discrete_shift densifies a grid.
 import cmath
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -52,6 +53,12 @@ def kappa_lm(l, params, m):
         elif i > m:
             out *= params.eta ** l[i] / params.xi[i]
     return out
+
+
+def block_params(params, m, lm, kappa=None):
+    """Block m's n = 1 parameter set in lm variables, with kappa (default params.kappa)."""
+    kappa = params.kappa if kappa is None else kappa
+    return replace(params, n=1, ell=lm, xi=(params.xi[m],), z=(params.z[m],), kappa=kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -525,44 +532,6 @@ def star_product(f, g, jvars, lvars, split_k, params, flavor="trig"):
     return h
 
 
-def one_block_w(lm, m, params):
-    """n=1 style trig weight function attached to block m, in lm variables."""
-
-    def f(t):
-        t = as_points(t)
-        out = np.ones(t.shape[:-1], dtype=np.complex128)
-        for a in range(lm):
-            ta = t[..., a]
-            out *= ta / (ta - params.xi[m] * params.z[m])
-        for a in range(lm):
-            for b in range(a + 1, lm):
-                out *= (t[..., a] - t[..., b]) / (params.eta * t[..., a] - t[..., b])
-        return out
-
-    return f
-
-
-def one_block_W(lm, m, params, kappa_block):
-    """n=1 style elliptic weight function for block m with its own kappa."""
-    p, eta = params.p, params.eta
-
-    def f(t):
-        t = as_points(t)
-        out = np.ones(t.shape[:-1], dtype=np.complex128)
-        for a in range(lm):
-            ta = t[..., a]
-            out *= theta_ratio(
-                ta / (kappa_block * params.z[m]), ta / (params.xi[m] * params.z[m]), p
-            )
-        for a in range(lm):
-            for b in range(a + 1, lm):
-                r = t[..., a] / t[..., b]
-                out *= theta(r, p) / theta(eta * r, p)
-        return out
-
-    return f
-
-
 # ---------------------------------------------------------------------------
 # discrete shift operators of the local system
 
@@ -591,35 +560,31 @@ def phi_factor(a, t, z, params):
     return out
 
 
-def discrete_shift(f, a, params, mode="Q"):
-    """Shift operator Q_a f = phi_a * (f with the a-th variable scaled by p),
-    or the discrete derivative D_a f = Q_a f - f.
+def discrete_shift(f, a, params):
+    """Discrete derivative D_a f = Q_a f - f, where the shift operator
+    Q_a f = phi_a * (f with the a-th variable scaled by p).
 
     Fields here are callables f(t, z) with t of shape (..., ell) and z a
     plain n-vector.
     """
     ell = params.ell
 
-    def qf(t, z):
+    def df(t, z):
         # the shifted copy rewrites coordinate a, so this field reads dense points
         t = np.asarray(t, dtype=np.complex128)
         z = tuple(z)
         if a < ell:
             tshift = t.copy()
             tshift[..., a] = params.p * tshift[..., a]
-            out = phi_factor(a, t, z, params) * np.asarray(f(tshift, z), dtype=np.complex128)
+            shifted = f(tshift, z)
         else:
-            m = a - ell
             zshift = list(z)
-            zshift[m] = params.p * zshift[m]
-            out = phi_factor(a, t, z, params) * np.asarray(f(t, tuple(zshift)), dtype=np.complex128)
-        if mode == "Q":
-            return out
-        if mode == "D":
-            return out - np.asarray(f(t, z), dtype=np.complex128)
-        raise ValueError("mode must be 'Q' or 'D'")
+            zshift[a - ell] = params.p * zshift[a - ell]
+            shifted = f(t, tuple(zshift))
+        qf = phi_factor(a, t, z, params) * np.asarray(shifted, dtype=np.complex128)
+        return qf - np.asarray(f(t, z), dtype=np.complex128)
 
-    return qf
+    return df
 
 
 # ---------------------------------------------------------------------------

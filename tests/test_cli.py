@@ -197,6 +197,14 @@ def test_verify_malformed_params_is_a_parameter_error(edit, named, tmp_path, cap
     assert named in capsys.readouterr().err
 
 
+def test_verify_rmatrix_on_an_n1_file_is_a_parameter_error(tmp_path, capsys):
+    # the R-matrix checks pair two tensor factors; one factor exits 2, not 1
+    f = tmp_path / "p.json"
+    assert cli.main(["sample", "--seed", "1", "--n", "1", "--ell", "1", "--report", str(f)]) == 0
+    assert cli.main(["verify", "rmatrix", "--params", str(f)]) == 2
+    assert "n >= 2" in capsys.readouterr().err
+
+
 def test_sample_unknown_regime_is_a_configuration_error(capsys):
     assert cli.main(["sample", "--regime", "bogus"]) == 2
     assert "'bogus'" in capsys.readouterr().err
@@ -258,6 +266,7 @@ def test_verify_removed_flags_rejected(flag, capsys):
         (["verify", "jackson", "--cutoff", "-1"], "--cutoff"),
         (["sample", "--n", "0"], "--n"),
         (["sample", "--ell", "-1"], "--ell"),
+        (["table", "qbeta", "--seed", "-1", "--rows", "1"], "--seed"),
     ],
 )
 def test_out_of_range_option_is_a_configuration_error(argv, flag, capsys):

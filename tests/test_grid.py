@@ -223,7 +223,10 @@ def _integrands(P):
     Plow = P.with_kappa(P.kappa / P.eta).with_ell(ell - 1)
     lows = combin.index_vectors(P.n, ell - 1)
     Wlow = lambda t: wf.W_ell(lows[-1], t, Plow, "subset")
-    blocks = (wf.one_block_W(ell - 1, 0, P, P.kappa), wf.one_block_W(1, 1, P, P.kappa * P.eta))
+    blocks = (
+        lambda t: wf.W_ell((ell - 1,), t, wf.block_params(P, 0, ell - 1)),
+        lambda t: wf.W_ell((1,), t, wf.block_params(P, 1, 1, P.kappa * P.eta)),
+    )
     return {
         "phase_phi": lambda t: phase_phi(t, P),
         "W_ell": lambda t: wf.W_ell(l, t, P, "subset"),
@@ -232,7 +235,7 @@ def _integrands(P):
         "boundary_Q": wf.boundary_element("Q", Wlow, P),
         "boundary_Qprime": wf.boundary_element("Qprime", Wlow, P),
         "star_product_elliptic": wf.star_product(*blocks, ell - 1, 1, 1, P, "elliptic"),
-        "one_block_W": wf.one_block_W(ell, 0, P, P.kappa),
+        "W_ell_one_block": lambda t: wf.W_ell((ell,), t, wf.block_params(P, 0, ell)),
         "omega_elliptic": ig.omega_elliptic(P),
         "omega_trig": ig.omega_trig(P),
         "qbeta": ig.qbeta_integrand(a, b, c, x, p, ell),

@@ -97,7 +97,7 @@ def test_shell_sum_geometric():
     # shell s holds the single term r^s: the total is 1/(1 - r) and the
     # geometric tail estimate is the exact remainder r^N / (1 - r)
     r = 0.6
-    total, rep = ig._shell_sum(lambda s: [r**s], cutoff=200, tol=1e-12)
+    total, rep = ig._shell_sum(lambda s: r**s, cutoff=200, tol=1e-12)
     N = rep["shells"]
     assert N < 201
     assert abs(total - 1 / (1 - r)) < 1e-11
@@ -109,22 +109,22 @@ def test_shell_sum_geometric():
 def test_shell_sum_raises_at_cutoff():
     # r^s needs about 55 shells to fall below 1e-12; five cannot settle it
     with pytest.raises(ConvergenceError):
-        ig._shell_sum(lambda s: [0.6**s], cutoff=5, tol=1e-12)
+        ig._shell_sum(lambda s: 0.6**s, cutoff=5, tol=1e-12)
 
 
 def test_shell_sum_raises_on_tail_past_stopping_rule():
     # 0.99^s stops near shell 2300, where the geometric tail 99 r^N is still
     # about 99 times tol * |total|
     with pytest.raises(ConvergenceError):
-        ig._shell_sum(lambda s: [0.99**s], cutoff=5000, tol=1e-12)
+        ig._shell_sum(lambda s: 0.99**s, cutoff=5000, tol=1e-12)
 
 
 def test_shell_sum_rules_hold_per_entry():
     # two geometric series on a value axis: the sum runs until both have
     # settled, each entry reports its own numerics, and a tail that only the
     # second entry leaves raises
-    alone = [ig._shell_sum(lambda s, r=r: [r**s], cutoff=200, tol=1e-12) for r in (0.3, 0.6)]
-    total, rep = ig._shell_sum(lambda s: [np.array([0.3**s, 0.6**s])], cutoff=200, tol=1e-12)
+    alone = [ig._shell_sum(lambda s, r=r: r**s, cutoff=200, tol=1e-12) for r in (0.3, 0.6)]
+    total, rep = ig._shell_sum(lambda s: np.array([0.3**s, 0.6**s]), cutoff=200, tol=1e-12)
     assert rep["shells"] == max(r["shells"] for _, r in alone) > min(r["shells"] for _, r in alone)
     assert rep["ratio"].shape == rep["tail_estimate"].shape == (2,)
     assert abs(rep["ratio"][0] - 0.3) < 1e-12 and abs(rep["ratio"][1] - 0.6) < 1e-12
@@ -132,7 +132,7 @@ def test_shell_sum_rules_hold_per_entry():
         assert abs(v - want) < 1e-12 * abs(want)
     assert total[1] == alone[1][0] and rep["tail_estimate"][1] == alone[1][1]["tail_estimate"]
     with pytest.raises(ConvergenceError):
-        ig._shell_sum(lambda s: [np.array([0.6**s, 0.99**s])], cutoff=5000, tol=1e-12)
+        ig._shell_sum(lambda s: np.array([0.6**s, 0.99**s]), cutoff=5000, tol=1e-12)
 
 
 def test_jackson_sum_raises_at_cutoff():
@@ -741,7 +741,7 @@ def _ascj_sum_loop(a, b, alpha, beta, p, m, ell, cutoff=40):
                 term *= us[k] ** (2 * m * (ell - 1 - k))
             yield term
 
-    return ig._shell_sum(shell_terms, cutoff, ig._LATTICE_TOL)[0]
+    return ig._shell_sum(lambda shell: sum(shell_terms(shell)), cutoff, ig._LATTICE_TOL)[0]
 
 
 def _x_pair_loop(us, x, p):
@@ -776,7 +776,7 @@ def _ascj_general_sum_loop(a, b, alpha, beta, x, p, ell):
                     term *= th(x ** (j + s) * a / b) / th(x ** (j - s) * a / b)
                 yield term * Atil(us)
 
-    return ig._shell_sum(shell_terms, ig._ASCJ_GENERAL_CUTOFF, ig._LATTICE_TOL)[0]
+    return ig._shell_sum(lambda shell: sum(shell_terms(shell)), ig._ASCJ_GENERAL_CUTOFF, ig._LATTICE_TOL)[0]
 
 
 def _qselberg_jackson_loop(alpha, u, x, p, ell):
@@ -795,7 +795,7 @@ def _qselberg_jackson_loop(alpha, u, x, p, ell):
             expo_x = -sum((i - 1) * (ell - i + 1) * rs[i - 1] for i in range(1, ell + 1))
             yield u**expo_u * x**expo_x * S(ts)
 
-    return ig._shell_sum(shell_terms, ig._QSELBERG_CUTOFF, ig._LATTICE_TOL)[0]
+    return ig._shell_sum(lambda shell: sum(shell_terms(shell)), ig._QSELBERG_CUTOFF, ig._LATTICE_TOL)[0]
 
 
 @pytest.mark.parametrize("ell", [1, 2])

@@ -736,6 +736,15 @@ def test_reduced_theta_blocks_match_per_factor_loop_on_far_shells(side):
         assert max(map(abs, ks)) >= 22
 
 
+def test_p_shell_index_is_one_byte_per_node():
+    """At a (3, 2) shell-22 stack the p-shell index of the pair grid spans
+    fewer than 256 shells, so it takes one byte per node."""
+    P = sample_params(11, 3, 2, regime="jackson_overlap")
+    t = _shell_grid(P, (1, 1, 0), "x", 22)
+    j, ks = numkernel._p_shells(t[..., 0] / t[..., 1], P.p)
+    assert j.dtype == np.uint8 and j.shape == t.shape[:-1] and 1 < len(ks) < 256
+
+
 def test_reduced_theta_blocks_with_shells_varying_over_a_grid():
     """Circles around |t_0| = |p|^(1/2) and |t_0 / t_1| = |p|^(-1/2), where
     k = round(log|x| / log|p|) takes two values on one grid; the axis and

@@ -64,6 +64,12 @@ def test_w_forms_agree():
         a = wf.w_trig(l, t, P3, "symmetrized")
         b = wf.w_trig(l, t, P3, "subset")
         assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
+    # n = 1, the block factors of a star-product factorization
+    for ell in (1, 2, 3):
+        P1 = params(1, ell, seed=7 + ell)
+        a = wf.w_trig((ell,), t[:, :ell], P1, "symmetrized")
+        b = wf.w_trig((ell,), t[:, :ell], P1, "subset")
+        assert np.max(np.abs(a - b) / np.abs(a)) < 1e-12
 
 
 def test_w_tau_identity_and_involution():
@@ -117,6 +123,14 @@ def test_W22_display_and_forms():
     for l in combin.index_vectors(2, 2):
         a = wf.W_ell(l, T2, P, "symmetrized")
         b = wf.W_ell(l, T2, P, "subset")
+        assert np.max(np.abs(a - b) / np.abs(a)) < 1e-11
+    # n = 1, the block factors of a star-product factorization
+    rng = np.random.default_rng(12)
+    t3 = np.exp(1j * rng.uniform(0, 2 * np.pi, (20, 3))) * rng.uniform(0.85, 1.2, (20, 3))
+    for ell in (1, 2, 3):
+        P1 = params(1, ell, seed=12 + ell)
+        a = wf.W_ell((ell,), t3[:, :ell], P1, "symmetrized")
+        b = wf.W_ell((ell,), t3[:, :ell], P1, "subset")
         assert np.max(np.abs(a - b) / np.abs(a)) < 1e-11
 
 
@@ -246,16 +260,16 @@ def test_star_product_triviality_and_factorization():
     h = wf.star_product(one, g, 0, 1, 0, P, "trig")
     t1 = np.array([0.9 * np.exp(0.2j)])
     assert abs(h(t1) - g(t1[None, :].reshape(1, 1))[0]) < 1e-12
-    f1 = wf.one_block_w(1, 0, P)
-    f2 = wf.one_block_w(1, 1, P)
+    f1 = lambda tt: wf.w_trig((1,), tt, wf.block_params(P, 0, 1))
+    f2 = lambda tt: wf.w_trig((1,), tt, wf.block_params(P, 1, 1))
     prod = wf.star_product(f1, f2, 1, 1, 1, P, "trig")
     t = T2[0]
     direct = wf.w_trig((1, 1), t, P, "subset")
     assert abs(prod(t) - direct) / abs(direct) < 1e-11
     # elliptic factorization: W_l from one-block factors with block kappas
     l = (1, 1)
-    F1 = wf.one_block_W(1, 0, P, wf.kappa_lm(l, P, 0))
-    F2 = wf.one_block_W(1, 1, P, wf.kappa_lm(l, P, 1))
+    F1 = lambda tt: wf.W_ell((1,), tt, wf.block_params(P, 0, 1, wf.kappa_lm(l, P, 0)))
+    F2 = lambda tt: wf.W_ell((1,), tt, wf.block_params(P, 1, 1, wf.kappa_lm(l, P, 1)))
     prodE = wf.star_product(F1, F2, 1, 1, 1, P, "elliptic")
     directE = wf.W_ell(l, t, P, "subset")
     assert abs(prodE(t) - directE) / abs(directE) < 1e-11
@@ -282,18 +296,18 @@ def test_discrete_shift_commutativity_and_triviality():
     # commutativity instead
     f = lambda t, z: t[..., 0] ** 2 + t[..., 1] / (t[..., 0] - 0.3)
     t = T2[1]
-    D0 = wf.discrete_shift(f, 0, P, "D")
-    D1 = wf.discrete_shift(f, 1, P, "D")
-    D01 = wf.discrete_shift(D0, 1, P, "D")
-    D10 = wf.discrete_shift(D1, 0, P, "D")
+    D0 = wf.discrete_shift(f, 0, P)
+    D1 = wf.discrete_shift(f, 1, P)
+    D01 = wf.discrete_shift(D0, 1, P)
+    D10 = wf.discrete_shift(D1, 0, P)
     a = D01(t, P.z)
     b = D10(t, P.z)
     assert abs(a - b) / max(abs(a), 1e-300) < 1e-12
     # z-direction shifts commute too
-    D2 = wf.discrete_shift(f, 2, P, "D")
-    D3 = wf.discrete_shift(f, 3, P, "D")
-    a = wf.discrete_shift(D2, 3, P, "D")(t, P.z)
-    b = wf.discrete_shift(D3, 2, P, "D")(t, P.z)
+    D2 = wf.discrete_shift(f, 2, P)
+    D3 = wf.discrete_shift(f, 3, P)
+    a = wf.discrete_shift(D2, 3, P)(t, P.z)
+    b = wf.discrete_shift(D3, 2, P)(t, P.z)
     assert abs(a - b) / max(abs(a), 1e-300) < 1e-12
 
 
@@ -314,7 +328,7 @@ def test_coboundary_exact_form_identity():
             g = lambda tt, zz, s=sigma: combin.sym_act(
                 lambda q: wf.w_trig(lm, np.asarray(q)[..., 1:], Pk.with_z(zz), "subset"), s, Pk.eta
             )(tt)
-            rhs += wf.discrete_shift(g, a, Pk, "D")(t, Pk.z)
+            rhs += wf.discrete_shift(g, a, Pk)(t, Pk.z)
         rhs *= 1 - Pk.eta
         assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
